@@ -9,9 +9,8 @@
 
 use hyscale_sim::{SimTime, SnapReader, SnapWriter, SnapshotError};
 
-use crate::cohort::CohortTable;
+use crate::cohort::FlowTable;
 use crate::ids::{ContainerId, NodeId, ServiceId};
-use crate::request::InFlight;
 use crate::stats::UsageWindow;
 use crate::{Cores, Mbps, MemMb};
 
@@ -226,11 +225,9 @@ pub struct Container {
     spec: ContainerSpec,
     state: ContainerState,
     ready_at: SimTime,
-    pub(crate) in_flight: Vec<InFlight>,
-    /// In-flight flow cohorts (struct-of-arrays; each slot carries many
-    /// identical member requests). Individually-admitted requests stay in
-    /// `in_flight`; the two populations share the processor fairly.
-    pub(crate) cohorts: CohortTable,
+    /// All in-flight work: one row per admitted cohort share or request
+    /// (a request is a flow of one member).
+    pub(crate) flows: FlowTable,
     /// Cumulative core-seconds consumed (for stats).
     pub(crate) cpu_used_total: f64,
     /// Cumulative megabits sent (for stats).
@@ -246,7 +243,7 @@ pub struct Container {
 
 impl Container {
     /// Serializes the full replica state — spec, lifecycle, in-flight
-    /// requests, cohorts, usage accumulators (snapshot support).
+    /// flows, usage accumulators (snapshot support).
     pub(crate) fn snapshot_write(&self, w: &mut SnapWriter) {
         w.put_u32(self.id.index());
         w.put_u32(self.node.index());
@@ -277,12 +274,7 @@ impl Container {
             ContainerState::Removed => 2,
         });
         w.put_u64(self.ready_at.as_micros());
-        // In-flight per-request state.
-        w.put_usize(self.in_flight.len());
-        for inf in &self.in_flight {
-            inf.snapshot_write(w);
-        }
-        self.cohorts.snapshot_write(w);
+        self.flows.snapshot_write(w);
         w.put_f64(self.cpu_used_total);
         w.put_f64(self.megabits_sent_total);
         w.put_f64(self.throughput_ewma);
@@ -327,20 +319,14 @@ impl Container {
             }
         };
         let ready_at = SimTime::from_micros(r.get_u64()?);
-        let n = r.get_usize()?;
-        let mut in_flight = Vec::with_capacity(n);
-        for _ in 0..n {
-            in_flight.push(InFlight::snapshot_read(r)?);
-        }
-        let cohorts = CohortTable::snapshot_read(r)?;
+        let flows = FlowTable::snapshot_read(r)?;
         Ok(Container {
             id,
             node,
             spec,
             state,
             ready_at,
-            in_flight,
-            cohorts,
+            flows,
             cpu_used_total: r.get_f64()?,
             megabits_sent_total: r.get_f64()?,
             throughput_ewma: r.get_f64()?,
@@ -356,8 +342,7 @@ impl Container {
             spec,
             state: ContainerState::Starting,
             ready_at,
-            in_flight: Vec::new(),
-            cohorts: CohortTable::default(),
+            flows: FlowTable::default(),
             cpu_used_total: 0.0,
             megabits_sent_total: 0.0,
             throughput_ewma: 0.0,
@@ -396,21 +381,21 @@ impl Container {
     }
 
     /// Number of requests currently in flight, counting every member of
-    /// every resident cohort.
+    /// every resident flow.
     pub fn in_flight_count(&self) -> usize {
-        self.in_flight.len() + self.cohorts.members() as usize
+        self.flows.members() as usize
     }
 
-    /// Total in-flight members as a wide count (individually-admitted
-    /// requests plus cohort members), safe beyond `usize` semantics for
-    /// million-user scenarios.
+    /// Total in-flight members as a wide count, safe beyond `usize`
+    /// semantics for million-user scenarios.
     pub fn in_flight_members(&self) -> u64 {
-        self.in_flight.len() as u64 + self.cohorts.members()
+        self.flows.members()
     }
 
-    /// Number of distinct in-flight cohort records (not members).
+    /// Number of distinct in-flight flow records (not members): one per
+    /// admitted cohort share or individually-admitted request.
     pub fn cohort_count(&self) -> usize {
-        self.cohorts.len()
+        self.flows.len()
     }
 
     /// True if the container can accept a request at `now`.
@@ -438,14 +423,13 @@ impl Container {
     /// Current resident set: base overhead, the throughput-driven working
     /// set, and per-request memory of everything in flight.
     pub fn resident_mem(&self) -> MemMb {
-        let req_mem: f64 = self.in_flight.iter().map(|r| r.request.mem.get()).sum();
-        self.resident_mem_with(req_mem + self.cohorts.resident_mem())
+        self.resident_mem_with(self.flows.resident_mem())
     }
 
     /// `resident_mem` with the per-request sum supplied by a caller that
-    /// already swept `in_flight` (the tick engine folds it into the
-    /// completion scan). `req_mem` must equal summing
-    /// `in_flight[..].request.mem` in index order.
+    /// already swept the flows (the tick engine folds it into the
+    /// settlement scan). `req_mem` must equal
+    /// [`FlowTable::resident_mem`], summed in row order.
     pub(crate) fn resident_mem_with(&self, req_mem: f64) -> MemMb {
         self.spec.base_mem
             + MemMb(self.spec.mem_per_rps.get() * self.throughput_ewma)
@@ -554,16 +538,12 @@ mod tests {
 
     #[test]
     fn resident_mem_is_base_plus_requests() {
-        use crate::ids::RequestId;
+        use crate::cohort::Flow;
         use crate::request::Request;
         let mut c = Container::new(ContainerId::new(0), NodeId::new(0), spec(), SimTime::ZERO);
         assert_eq!(c.resident_mem(), MemMb(64.0));
         let r = Request::mem_bound(ServiceId::new(0), SimTime::ZERO, MemMb(100.0));
-        c.in_flight.push(crate::request::InFlight::new(
-            RequestId::new(0),
-            r,
-            SimTime::ZERO,
-        ));
+        c.flows.push(Flow::of_request(&r, SimTime::ZERO));
         assert_eq!(c.resident_mem(), MemMb(164.0));
     }
 
@@ -588,8 +568,8 @@ mod tests {
 
     #[test]
     fn queue_cap_limits_acceptance() {
-        use crate::ids::RequestId;
-        use crate::request::{InFlight, Request};
+        use crate::cohort::Flow;
+        use crate::request::Request;
         let mut c = Container::new(
             ContainerId::new(0),
             NodeId::new(0),
@@ -598,8 +578,7 @@ mod tests {
         );
         assert!(c.accepting(SimTime::ZERO));
         let r = Request::cpu_bound(ServiceId::new(0), SimTime::ZERO, 0.1);
-        c.in_flight
-            .push(InFlight::new(RequestId::new(0), r, SimTime::ZERO));
+        c.flows.push(Flow::of_request(&r, SimTime::ZERO));
         assert!(!c.accepting(SimTime::ZERO));
     }
 }

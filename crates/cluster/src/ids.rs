@@ -111,12 +111,6 @@ impl IdAllocator {
         u32::try_from(id).expect("more than u32::MAX entities allocated")
     }
 
-    pub(crate) fn next_u64(&mut self) -> u64 {
-        let id = self.next;
-        self.next += 1;
-        id
-    }
-
     /// Reserves `n` consecutive ids, returning the first. Cohort members
     /// keep dense per-request identities without per-member allocation.
     pub(crate) fn next_range(&mut self, n: u64) -> u64 {
@@ -155,7 +149,8 @@ mod tests {
         let mut alloc = IdAllocator::default();
         assert_eq!(alloc.next_u32(), 0);
         assert_eq!(alloc.next_u32(), 1);
-        assert_eq!(alloc.next_u64(), 2);
+        assert_eq!(alloc.next_range(3), 2);
+        assert_eq!(alloc.next_u32(), 5);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! and disk bytes are all done; its response time is completion minus
 //! arrival plus the service's replica fan-out latency.
 
-use hyscale_sim::{SimDuration, SimTime, SnapReader, SnapWriter, SnapshotError};
+use hyscale_sim::{SimDuration, SimTime};
 
 use crate::ids::{ContainerId, RequestId, ServiceId};
 use crate::MemMb;
@@ -124,91 +124,6 @@ impl Request {
     /// The absolute deadline after which the request fails.
     pub fn deadline(&self) -> SimTime {
         self.arrival + self.timeout
-    }
-}
-
-/// An in-flight request inside a container (internal bookkeeping).
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) struct InFlight {
-    pub id: RequestId,
-    pub request: Request,
-    /// When the replica started working on it (admission time).
-    pub admitted: SimTime,
-    /// Core-seconds of CPU work still owed.
-    pub cpu_remaining: f64,
-    /// Megabits of egress still owed.
-    pub megabits_remaining: f64,
-    /// Megabits of disk traffic still owed.
-    pub disk_remaining: f64,
-}
-
-impl InFlight {
-    pub(crate) fn new(id: RequestId, request: Request, admitted: SimTime) -> Self {
-        InFlight {
-            cpu_remaining: request.cpu_secs,
-            megabits_remaining: request.megabits_out,
-            disk_remaining: request.disk_megabits,
-            id,
-            request,
-            admitted,
-        }
-    }
-
-    pub(crate) fn is_done(&self) -> bool {
-        self.cpu_remaining <= 1e-12
-            && self.megabits_remaining <= 1e-9
-            && self.disk_remaining <= 1e-9
-    }
-
-    /// Serializes this record, including the full request profile
-    /// (snapshot support).
-    pub(crate) fn snapshot_write(&self, w: &mut SnapWriter) {
-        w.put_u64(self.id.index());
-        w.put_u32(self.request.service.index());
-        w.put_u64(self.request.arrival.as_micros());
-        w.put_f64(self.request.cpu_secs);
-        w.put_f64(self.request.mem.get());
-        w.put_f64(self.request.megabits_out);
-        w.put_f64(self.request.disk_megabits);
-        w.put_u64(self.request.timeout.as_micros());
-        w.put_u64(self.admitted.as_micros());
-        w.put_f64(self.cpu_remaining);
-        w.put_f64(self.megabits_remaining);
-        w.put_f64(self.disk_remaining);
-    }
-
-    /// Rebuilds a record from [`InFlight::snapshot_write`] output.
-    pub(crate) fn snapshot_read(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        let id = RequestId::new(r.get_u64()?);
-        let request = Request {
-            service: ServiceId::new(r.get_u32()?),
-            arrival: SimTime::from_micros(r.get_u64()?),
-            cpu_secs: r.get_f64()?,
-            mem: MemMb(r.get_f64()?),
-            megabits_out: r.get_f64()?,
-            disk_megabits: r.get_f64()?,
-            timeout: SimDuration::from_micros(r.get_u64()?),
-        };
-        Ok(InFlight {
-            id,
-            request,
-            admitted: SimTime::from_micros(r.get_u64()?),
-            cpu_remaining: r.get_f64()?,
-            megabits_remaining: r.get_f64()?,
-            disk_remaining: r.get_f64()?,
-        })
-    }
-
-    pub(crate) fn wants_cpu(&self) -> bool {
-        self.cpu_remaining > 1e-12
-    }
-
-    pub(crate) fn wants_net(&self) -> bool {
-        self.megabits_remaining > 1e-9
-    }
-
-    pub(crate) fn wants_disk(&self) -> bool {
-        self.disk_remaining > 1e-9
     }
 }
 
@@ -330,12 +245,6 @@ mod tests {
         assert_eq!(r.disk_megabits, 40.0);
         let r2 = Request::cpu_bound(svc(), SimTime::ZERO, 0.1);
         assert_eq!(r2.disk_megabits, 0.0);
-        let mut inf = InFlight::new(RequestId::new(0), r, SimTime::ZERO);
-        assert!(inf.wants_disk());
-        inf.disk_remaining = 0.0;
-        inf.cpu_remaining = 0.0;
-        inf.megabits_remaining = 0.0;
-        assert!(inf.is_done());
     }
 
     #[test]
@@ -349,17 +258,6 @@ mod tests {
         let r = Request::cpu_bound(svc(), SimTime::from_secs(5.0), 0.1)
             .with_timeout(SimDuration::from_secs(2.0));
         assert_eq!(r.deadline(), SimTime::from_secs(7.0));
-    }
-
-    #[test]
-    fn in_flight_progress_flags() {
-        let r = Request::new(svc(), SimTime::ZERO, 0.1, MemMb(1.0), 5.0);
-        let mut inf = InFlight::new(RequestId::new(0), r, SimTime::ZERO);
-        assert!(inf.wants_cpu() && inf.wants_net() && !inf.is_done());
-        inf.cpu_remaining = 0.0;
-        assert!(!inf.wants_cpu() && inf.wants_net() && !inf.is_done());
-        inf.megabits_remaining = 0.0;
-        assert!(inf.is_done());
     }
 
     #[test]

@@ -32,8 +32,10 @@ pub const SNAPSHOT_MAGIC: [u8; 4] = *b"HYSN";
 /// a per-slot admission time; 3 = the resilience layer — failure tallies
 /// split into four kinds, the graph tracker carries retry/deadline/budget
 /// state and stats, driver payloads append the resilience RNG stream, and
-/// the cohort table carries a per-slot attempt counter.
-pub const SNAPSHOT_VERSION: u32 = 3;
+/// the cohort table carries a per-slot attempt counter; 4 = a container
+/// writes one flow table (requests are flows of one member) and no
+/// separate request list.
+pub const SNAPSHOT_VERSION: u32 = 4;
 
 /// FNV-1a 64-bit hash of a byte slice.
 ///

@@ -600,3 +600,137 @@ fn cohort_churn_is_bit_identical_across_worker_counts() {
         }
     }
 }
+
+// ---------------------------------------------------------------------
+// A request is a flow of one member
+// ---------------------------------------------------------------------
+
+use hyscale::cluster::Request;
+
+/// One node with three small-queue replicas, so random load keeps
+/// hitting `QueueFull`.
+fn flow_twin() -> (Cluster, NodeId, Vec<ContainerId>) {
+    let mut cluster = Cluster::new(ClusterConfig::default());
+    let node = cluster.add_node(NodeSpec::uniform_worker());
+    let containers = (0..3u32)
+        .map(|c| {
+            let spec = ContainerSpec::new(ServiceId::new(c))
+                .with_queue_cap(12)
+                .with_startup_secs(0.0);
+            cluster
+                .start_container(node, spec, SimTime::ZERO)
+                .expect("placement fits")
+        })
+        .collect();
+    (cluster, node, containers)
+}
+
+/// Admitting a request must be indistinguishable from admitting a cohort
+/// of one copy of it: same ids (refusals included), same tick reports,
+/// same teardown aborts, through queue overflow, timeouts, removals and
+/// replicas still starting up.
+#[test]
+fn admitting_a_request_equals_admitting_a_cohort_of_one() {
+    for seed in [3u64, 11, 29] {
+        let (mut by_request, node, mut containers) = flow_twin();
+        let (mut by_cohort, _, _) = flow_twin();
+        let mut rng = SimRng::seed_from(seed);
+        let dt = SimDuration::from_millis(100);
+        let mut now = SimTime::ZERO;
+        let mut completed = 0u64;
+        let mut refused = 0u64;
+        for tick in 0..400 {
+            for _ in 0..rng.uniform_usize(10) {
+                // Index one past the end: an unknown container.
+                let pick = rng.uniform_usize(containers.len() + 1);
+                let target = containers
+                    .get(pick)
+                    .copied()
+                    .unwrap_or(ContainerId::new(99));
+                let request = Request::new(
+                    ServiceId::new(pick as u32 % 3),
+                    now,
+                    rng.uniform_range(0.0, 0.3),
+                    MemMb(rng.uniform_range(0.0, 40.0)),
+                    rng.uniform_range(0.0, 30.0),
+                )
+                .with_disk(rng.uniform_range(0.0, 10.0))
+                .with_timeout(SimDuration::from_secs(rng.uniform_range(0.2, 4.0)));
+                let a = by_request.admit_request(target, request.clone(), now);
+                let b = by_cohort.admit_cohort(target, Cohort::from_request(&request, 1), now);
+                assert_eq!(a, b, "seed {seed} tick {tick}: admission diverged");
+                refused += u64::from(a.is_err());
+            }
+            if tick % 50 == 49 {
+                // Replace a replica: aborts its flows, and the newcomer
+                // refuses work until its startup delay has passed.
+                let gone = containers.remove(rng.uniform_usize(containers.len()));
+                assert_eq!(
+                    by_request.remove_container(gone, now),
+                    by_cohort.remove_container(gone, now)
+                );
+                let spec = ContainerSpec::new(ServiceId::new(tick / 50 % 3))
+                    .with_queue_cap(12)
+                    .with_startup_secs(0.5);
+                let fresh = by_request.start_container(node, spec.clone(), now);
+                assert_eq!(fresh, by_cohort.start_container(node, spec, now));
+                containers.push(fresh.expect("placement fits"));
+            }
+            let report = by_request.advance(now, dt);
+            assert_eq!(
+                report,
+                by_cohort.advance(now, dt),
+                "seed {seed} tick {tick}: tick reports diverged"
+            );
+            completed += report.completed_members();
+            now += dt;
+        }
+        assert!(
+            completed > 500 && refused > 100,
+            "{completed} done, {refused} refused"
+        );
+    }
+}
+
+/// Requests and a cohort with the same per-member demand, admitted to
+/// one replica on the same tick, progress identically and finish on the
+/// same tick.
+#[test]
+fn requests_and_an_equal_cohort_finish_together() {
+    let (mut cluster, _, containers) = flow_twin();
+    let target = containers[0];
+    let request = Request::new(ServiceId::new(0), SimTime::ZERO, 0.15, MemMb(8.0), 4.0);
+    for _ in 0..3 {
+        cluster
+            .admit_request(target, request.clone(), SimTime::ZERO)
+            .expect("fits");
+    }
+    cluster
+        .admit_cohort(target, Cohort::from_request(&request, 5), SimTime::ZERO)
+        .expect("fits");
+    let dt = SimDuration::from_millis(100);
+    let mut now = SimTime::ZERO;
+    let report = loop {
+        let report = cluster.advance(now, dt);
+        if !report.completed.is_empty() {
+            break report;
+        }
+        assert!(report.failed.is_empty());
+        now += dt;
+    };
+    assert_eq!(
+        report.completed_members(),
+        8,
+        "everyone finished on one tick"
+    );
+    assert_eq!(
+        report.completed.len(),
+        4,
+        "three requests and one cohort record"
+    );
+    assert!(report
+        .completed
+        .iter()
+        .all(|c| c.response_time == report.completed[0].response_time));
+    assert_eq!(cluster.total_in_flight(), 0);
+}
