@@ -275,9 +275,9 @@ pub enum EventKind {
     BalancerStats {
         /// Numeric service id.
         service: u32,
-        /// Arrivals the balancer placed on a replica.
+        /// Members a replica admitted.
         routed: u64,
-        /// Arrivals with no live replica or a full queue.
+        /// Members with no live replica or refused by a full queue.
         rejected: u64,
     },
     /// A final counter value from the metrics registry (emitted once per
@@ -337,7 +337,7 @@ pub enum EventKind {
         service: u32,
         /// Members in the arrival batch.
         count: u64,
-        /// Members the balancer placed on replicas.
+        /// Members a replica admitted.
         routed: u64,
         /// Members rejected: no live replica, open breakers, or full
         /// queues.
