@@ -31,7 +31,7 @@
 
 use std::collections::BTreeMap;
 
-use hyscale_cluster::{CompletedRequest, FailedRequest, FailureKind, ServiceId};
+use hyscale_cluster::{Cohort, CompletedRequest, FailedRequest, FailureKind, ServiceId};
 use hyscale_metrics::Summary;
 use hyscale_sim::{SimDuration, SimRng, SimTime, SnapReader, SnapWriter, SnapshotError};
 use hyscale_trace::{EventKind, TraceSink};
@@ -336,6 +336,28 @@ impl GraphTracker {
             },
         );
         id
+    }
+
+    /// Opens a root for a client arrival `flow` on the entry point at list
+    /// position `idx` and returns its entry hop. The flow's timeout is
+    /// tightened to the root's deadline budget
+    /// ([`GraphTracker::hop_timeout`]) before it is admitted.
+    pub fn begin_entry(&mut self, idx: usize, flow: &mut Cohort) -> PendingHop {
+        let root = self.begin_root(idx, flow.arrival, flow.count);
+        flow.timeout = self.hop_timeout(root, flow.arrival, flow.timeout);
+        PendingHop {
+            service: idx,
+            depth: 0,
+            root,
+            count: flow.count,
+            cpu_secs: flow.cpu_secs,
+            mem_mb: flow.mem.0,
+            megabits: flow.megabits_out,
+            disk_megabits: flow.disk_megabits,
+            arrival: flow.arrival,
+            attempt: 0,
+            policy: 0,
+        }
     }
 
     /// The deadline-aware timeout for a hop of `root` arriving at
