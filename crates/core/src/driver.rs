@@ -16,7 +16,7 @@ use hyscale_cluster::{
     FaultLog, FaultPlan, MemMb, NodeId, NodeSpec, Request, ServiceId, TickReport,
 };
 use hyscale_metrics::{
-    AvailabilityTracker, CostMeter, MetricsRegistry, RequestOutcomes, ServiceAvailability,
+    AvailabilityTracker, CostMeter, MetricsRegistry, RequestOutcomes, ServiceAvailability, Summary,
     TimeSeries,
 };
 use hyscale_sim::{
@@ -1778,7 +1778,7 @@ fn restore_rngs(r: &mut SnapReader<'_>, rngs: &mut [SimRng]) -> Result<(), Snaps
     Ok(())
 }
 
-/// Writes request outcomes including every response-time sample, so the
+/// Writes request outcomes including every response-time record, so the
 /// restored Welford accumulator is bit-exact (it is replay-order
 /// deterministic).
 fn write_outcomes(w: &mut SnapWriter, o: &RequestOutcomes) {
@@ -1788,12 +1788,7 @@ fn write_outcomes(w: &mut SnapWriter, o: &RequestOutcomes) {
     w.put_u64(o.failures.timeout);
     w.put_u64(o.failures.queue_abort);
     w.put_u64(o.failures.infra_death);
-    let samples = o.response_times.samples();
-    w.put_usize(samples.len());
-    for &v in samples {
-        w.put_f64(v);
-    }
-    w.put_u64(o.response_times.nan_dropped());
+    o.response_times.snapshot_write(w);
 }
 
 /// Reads outcomes written by [`write_outcomes`].
@@ -1805,12 +1800,7 @@ fn read_outcomes(r: &mut SnapReader<'_>) -> Result<RequestOutcomes, SnapshotErro
     o.failures.timeout = r.get_u64()?;
     o.failures.queue_abort = r.get_u64()?;
     o.failures.infra_death = r.get_u64()?;
-    for _ in 0..r.get_usize()? {
-        o.response_times.record(r.get_f64()?);
-    }
-    for _ in 0..r.get_u64()? {
-        o.response_times.record(f64::NAN);
-    }
+    o.response_times = Summary::snapshot_read(r)?;
     Ok(o)
 }
 

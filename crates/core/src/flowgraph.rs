@@ -64,8 +64,8 @@ pub struct EntryPointStats {
     pub members_completed: u64,
     /// Members of failed roots.
     pub members_failed: u64,
-    /// End-to-end latency (seconds) of completed roots, one sample per
-    /// member: last hop finish minus entry arrival.
+    /// End-to-end latency (seconds) of completed roots, one record per
+    /// root weighted by its members: last hop finish minus entry arrival.
     pub e2e_secs: Summary,
 }
 
@@ -718,9 +718,7 @@ impl GraphTracker {
             stats.roots_completed += 1;
             stats.members_completed += record.members;
             let secs = (record.last_finish - record.arrival).as_secs();
-            for _ in 0..record.members {
-                stats.e2e_secs.record(secs);
-            }
+            stats.e2e_secs.record_n(secs, record.members);
         }
     }
 
@@ -787,12 +785,7 @@ impl GraphTracker {
             w.put_u64(s.roots_failed);
             w.put_u64(s.members_completed);
             w.put_u64(s.members_failed);
-            let samples = s.e2e_secs.samples();
-            w.put_usize(samples.len());
-            for &v in samples {
-                w.put_f64(v);
-            }
-            w.put_u64(s.e2e_secs.nan_dropped());
+            s.e2e_secs.snapshot_write(w);
         }
         w.put_usize(self.tokens.len());
         for &t in &self.tokens {
@@ -922,13 +915,7 @@ impl GraphTracker {
             s.roots_failed = r.get_u64()?;
             s.members_completed = r.get_u64()?;
             s.members_failed = r.get_u64()?;
-            s.e2e_secs = Summary::new();
-            for _ in 0..r.get_usize()? {
-                s.e2e_secs.record(r.get_f64()?);
-            }
-            for _ in 0..r.get_u64()? {
-                s.e2e_secs.record(f64::NAN);
-            }
+            s.e2e_secs = Summary::snapshot_read(r)?;
         }
         let n = r.get_usize()?;
         if n != self.tokens.len() {

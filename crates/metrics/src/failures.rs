@@ -114,14 +114,11 @@ impl RequestOutcomes {
     }
 
     /// Records `n` completions sharing one response time — a cohort whose
-    /// members finished together. O(n): the summary retains every sample
-    /// so the distribution stays exact; cohort counts at the driver level
-    /// are per-tick batches, not the million-member bench cohorts.
+    /// members finished together. O(1) in `n`: the summary keeps one
+    /// weighted record, and its distribution stays exact.
     pub fn record_completed_n(&mut self, response_secs: f64, n: u64) {
         self.completed += n;
-        for _ in 0..n {
-            self.response_times.record(response_secs);
-        }
+        self.response_times.record_n(response_secs, n);
     }
 
     /// Records `n` removal failures at once.

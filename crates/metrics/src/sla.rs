@@ -129,6 +129,19 @@ mod tests {
     }
 
     #[test]
+    fn a_slow_cohort_counts_one_violation_per_member() {
+        let mut o = RequestOutcomes::new();
+        o.record_issued_n(1001);
+        o.record_completed_n(2.5, 1000);
+        o.record_completed(0.2);
+        let report = SlaPolicy::interactive().evaluate(&o);
+        assert_eq!(o.response_times.records().len(), 2);
+        assert_eq!(report.slow_requests, 1000);
+        assert_eq!(report.violations, 1000);
+        assert!((report.penalty - 10.0).abs() < 1e-9);
+    }
+
+    #[test]
     fn boundary_is_exclusive() {
         // Exactly at the bound is NOT a violation.
         let o = outcomes(&[1.0], 0);

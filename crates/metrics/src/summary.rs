@@ -1,13 +1,22 @@
 //! Streaming summary statistics with exact percentiles.
 
+use std::cell::{Cell, RefCell};
+
+use hyscale_sim::{SnapReader, SnapWriter, SnapshotError};
+
 /// Accumulates samples and answers count/mean/min/max/std-dev/percentile
 /// queries.
 ///
-/// The mean and variance are maintained streamingly (Welford's algorithm);
-/// percentiles are exact, computed from a retained copy of the samples
-/// (simulation runs produce at most a few hundred thousand samples, so the
-/// memory cost is modest and exactness beats sketching for
-/// paper-reproduction purposes).
+/// The summary keeps one record per [`Summary::record_n`] call: a value
+/// and the number of members that share it. A flow cohort whose members
+/// finished together is one record, so memory grows with the number of
+/// completed flows, not with the members they carry. The weight column
+/// stays empty while every record has weight 1, so per-request runs pay
+/// nothing for it.
+///
+/// The mean and variance are maintained streamingly (weighted Welford);
+/// percentiles are exact over the records, as if each record were
+/// repeated once per member.
 ///
 /// # Example
 ///
@@ -19,23 +28,36 @@
 /// assert_eq!(s.mean(), 50.5);
 /// assert_eq!(s.percentile(50.0), 50.5);
 /// assert_eq!(s.percentile(100.0), 100.0);
+///
+/// let mut cohort = Summary::new();
+/// cohort.record_n(0.5, 1_000_000);
+/// assert_eq!(cohort.count(), 1_000_000);
+/// assert_eq!(cohort.records().len(), 1);
 /// ```
 #[derive(Debug, Clone)]
 pub struct Summary {
-    samples: Vec<f64>,
+    values: Vec<f64>,
+    /// Weight of each record in `values`; empty while every record has
+    /// weight 1, otherwise exactly as long as `values`.
+    weights: Vec<u64>,
+    /// Total weight recorded (the member count).
+    total: u64,
     mean: f64,
     m2: f64,
     min: f64,
     max: f64,
-    /// Whether `samples` is known to be sorted (lazily maintained).
-    sorted: std::cell::Cell<bool>,
-    /// NaN samples rejected at record time (see [`Summary::record`]).
+    /// Whether `values` is known to be sorted (lazily maintained).
+    sorted: Cell<bool>,
+    /// NaN samples rejected at record time (see [`Summary::record_n`]).
     nan_dropped: u64,
-    /// Sorted copy of `samples`, built lazily for percentile queries on
-    /// unsorted data and reused (no reallocation) until invalidated by
-    /// the next `record`.
-    cache: std::cell::RefCell<Vec<f64>>,
-    cache_valid: std::cell::Cell<bool>,
+    /// Sorted copy of `values`, built lazily for percentile queries on
+    /// unsorted unweighted data and reused (no reallocation) until
+    /// invalidated by the next record.
+    cache: RefCell<Vec<f64>>,
+    /// The weighted counterpart of `cache`: records sorted by value, each
+    /// carrying the running total of the weights up to and including it.
+    weighted_cache: RefCell<Vec<(f64, u64)>>,
+    cache_valid: Cell<bool>,
 }
 
 impl Default for Summary {
@@ -50,68 +72,95 @@ impl Summary {
     /// Creates an empty summary.
     pub fn new() -> Self {
         Summary {
-            samples: Vec::new(),
+            values: Vec::new(),
+            weights: Vec::new(),
+            total: 0,
             mean: 0.0,
             m2: 0.0,
             min: f64::INFINITY,
             max: f64::NEG_INFINITY,
-            sorted: std::cell::Cell::new(true),
+            sorted: Cell::new(true),
             nan_dropped: 0,
-            cache: std::cell::RefCell::new(Vec::new()),
-            cache_valid: std::cell::Cell::new(false),
+            cache: RefCell::new(Vec::new()),
+            weighted_cache: RefCell::new(Vec::new()),
+            cache_valid: Cell::new(false),
         }
     }
 
-    /// Records one sample.
+    /// Records one sample (a record of weight 1).
+    pub fn record(&mut self, value: f64) {
+        self.record_n(value, 1);
+    }
+
+    /// Records `n` samples sharing one value as a single record, in O(1)
+    /// amortized time whatever `n` is. A weight of 0 records nothing.
     ///
     /// NaN values are **dropped**, not recorded: a NaN sample would
     /// poison the mean and every percentile sort. Drops are counted in
-    /// [`Summary::nan_dropped`] so callers can notice a polluted input
-    /// stream instead of failing deep inside a later report query.
-    pub fn record(&mut self, value: f64) {
+    /// [`Summary::nan_dropped`] (`n` per call) so callers can notice a
+    /// polluted input stream instead of failing deep inside a later
+    /// report query.
+    pub fn record_n(&mut self, value: f64, n: u64) {
+        if n == 0 {
+            return;
+        }
         if value.is_nan() {
-            self.nan_dropped += 1;
+            self.nan_dropped += n;
             return;
         }
         self.cache_valid.set(false);
-        let n = self.samples.len() as f64 + 1.0;
+        // Weighted Welford (West, 1979). With n = 1 the products by `w`
+        // are exact, so these are the unweighted updates bit for bit.
+        self.total += n;
+        let w = n as f64;
         let delta = value - self.mean;
-        self.mean += delta / n;
-        self.m2 += delta * (value - self.mean);
+        self.mean += delta * w / self.total as f64;
+        self.m2 += delta * w * (value - self.mean);
         self.min = self.min.min(value);
         self.max = self.max.max(value);
         if self.sorted.get() {
-            if let Some(&last) = self.samples.last() {
+            if let Some(&last) = self.values.last() {
                 if value < last {
                     self.sorted.set(false);
                 }
             }
         }
-        self.samples.push(value);
+        if n != 1 || !self.weights.is_empty() {
+            if self.weights.is_empty() {
+                // First weighted record: the unweighted cache is dead.
+                *self.cache.get_mut() = Vec::new();
+            }
+            // Back-fills weight 1 for the records before the first
+            // weighted one (none when that record is the very first).
+            self.weights.resize(self.values.len(), 1);
+            self.weights.push(n);
+        }
+        self.values.push(value);
     }
 
-    /// Number of recorded samples.
+    /// Number of recorded samples: the total weight of the records.
     pub fn count(&self) -> usize {
-        self.samples.len()
+        self.total as usize
     }
 
-    /// The recorded samples in insertion order (snapshot support).
+    /// The `(value, weight)` records in insertion order, one per
+    /// [`Summary::record_n`] call that kept a value.
     ///
-    /// Replaying these through [`Summary::record`] in order — plus
+    /// Replaying these through [`Summary::record_n`] in order — plus
     /// [`Summary::nan_dropped`] NaN records — rebuilds a bit-identical
     /// summary, because Welford's updates are order-deterministic.
-    pub fn samples(&self) -> &[f64] {
-        &self.samples
+    pub fn records(&self) -> impl ExactSizeIterator<Item = (f64, u64)> + '_ {
+        (0..self.values.len()).map(|i| (self.values[i], self.weights.get(i).copied().unwrap_or(1)))
     }
 
     /// True if no samples were recorded.
     pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
+        self.values.is_empty()
     }
 
     /// Arithmetic mean; 0.0 when empty.
     pub fn mean(&self) -> f64 {
-        if self.samples.is_empty() {
+        if self.is_empty() {
             0.0
         } else {
             self.mean
@@ -120,7 +169,7 @@ impl Summary {
 
     /// Smallest sample; 0.0 when empty.
     pub fn min(&self) -> f64 {
-        if self.samples.is_empty() {
+        if self.is_empty() {
             0.0
         } else {
             self.min
@@ -129,7 +178,7 @@ impl Summary {
 
     /// Largest sample; 0.0 when empty.
     pub fn max(&self) -> f64 {
-        if self.samples.is_empty() {
+        if self.is_empty() {
             0.0
         } else {
             self.max
@@ -138,10 +187,10 @@ impl Summary {
 
     /// Population standard deviation; 0.0 when fewer than two samples.
     pub fn std_dev(&self) -> f64 {
-        if self.samples.len() < 2 {
+        if self.total < 2 {
             0.0
         } else {
-            (self.m2 / self.samples.len() as f64).sqrt()
+            (self.m2 / self.total as f64).sqrt()
         }
     }
 
@@ -158,11 +207,14 @@ impl Summary {
     ///   [`Summary::mean`]/[`Summary::min`]/[`Summary::max`].
     pub fn percentile(&self, p: f64) -> f64 {
         let p = if p.is_nan() { 0.0 } else { p.clamp(0.0, 100.0) };
-        if self.samples.is_empty() {
+        if self.is_empty() {
             return 0.0;
         }
+        if !self.weights.is_empty() {
+            return self.weighted_percentile(p);
+        }
         if self.sorted.get() {
-            return Self::percentile_of(&self.samples, p);
+            return Self::percentile_of(&self.values, p);
         }
         // Unsorted: consult the cached sorted copy, (re)building it at
         // most once per batch of records. `clone_from` reuses the cache's
@@ -170,7 +222,7 @@ impl Summary {
         // allocate nothing.
         if !self.cache_valid.get() {
             let mut cache = self.cache.borrow_mut();
-            cache.clone_from(&self.samples);
+            cache.clone_from(&self.values);
             cache.sort_unstable_by(f64::total_cmp);
             self.cache_valid.set(true);
         }
@@ -190,6 +242,37 @@ impl Summary {
         }
     }
 
+    /// [`Summary::percentile_of`] over the records expanded one sample
+    /// per member, without expanding them: the ranks are found by binary
+    /// search over running weight totals.
+    fn weighted_percentile(&self, p: f64) -> f64 {
+        if !self.cache_valid.get() {
+            let mut cache = self.weighted_cache.borrow_mut();
+            cache.clear();
+            cache.extend(self.records());
+            cache.sort_unstable_by(|a, b| a.0.total_cmp(&b.0));
+            let mut running = 0;
+            for (_, w) in cache.iter_mut() {
+                running += *w;
+                *w = running;
+            }
+            self.cache_valid.set(true);
+        }
+        let cum = self.weighted_cache.borrow();
+        // The sample at expanded rank `k` is the first record whose
+        // running total exceeds `k`.
+        let at = |k: u64| cum[cum.partition_point(|&(_, upto)| upto <= k)].0;
+        let rank = p / 100.0 * (self.total - 1) as f64;
+        let lo = rank.floor() as u64;
+        let hi = rank.ceil() as u64;
+        if lo == hi {
+            at(lo)
+        } else {
+            let frac = rank - lo as f64;
+            at(lo) * (1.0 - frac) + at(hi) * frac
+        }
+    }
+
     /// NaN samples dropped at record time.
     pub fn nan_dropped(&self) -> u64 {
         self.nan_dropped
@@ -200,27 +283,46 @@ impl Summary {
         self.percentile(50.0)
     }
 
-    /// Number of samples strictly greater than `threshold`.
+    /// Number of samples strictly greater than `threshold`: the total
+    /// weight of the records above it.
     pub fn count_above(&self, threshold: f64) -> usize {
-        self.samples.iter().filter(|&&v| v > threshold).count()
+        self.records()
+            .filter(|&(v, _)| v > threshold)
+            .map(|(_, w)| w)
+            .sum::<u64>() as usize
     }
 
-    /// Merges another summary's samples into this one (including its
-    /// count of dropped NaN inputs).
+    /// Serializes the records and the NaN drop count (mirrored by
+    /// [`Summary::snapshot_read`]).
+    pub fn snapshot_write(&self, w: &mut SnapWriter) {
+        w.put_usize(self.values.len());
+        for (v, n) in self.records() {
+            w.put_f64(v);
+            w.put_u64(n);
+        }
+        w.put_u64(self.nan_dropped);
+    }
+
+    /// Rebuilds a summary written by [`Summary::snapshot_write`]. Each
+    /// record replays through [`Summary::record_n`] as the original call
+    /// did, so the restored summary is bit-identical.
+    pub fn snapshot_read(r: &mut SnapReader<'_>) -> Result<Summary, SnapshotError> {
+        let mut s = Summary::new();
+        for _ in 0..r.get_usize()? {
+            let value = r.get_f64()?;
+            s.record_n(value, r.get_u64()?);
+        }
+        s.nan_dropped = r.get_u64()?;
+        Ok(s)
+    }
+
+    /// Merges another summary's records into this one, weights included
+    /// (and its count of dropped NaN inputs).
     pub fn merge(&mut self, other: &Summary) {
-        for &v in &other.samples {
-            self.record(v);
+        for (v, n) in other.records() {
+            self.record_n(v, n);
         }
         self.nan_dropped += other.nan_dropped;
-    }
-
-    /// Sorts the retained samples in place so subsequent percentile
-    /// queries avoid copying.
-    pub fn sort_in_place(&mut self) {
-        if !self.sorted.get() {
-            self.samples.sort_unstable_by(f64::total_cmp);
-            self.sorted.set(true);
-        }
     }
 }
 
@@ -368,12 +470,73 @@ mod tests {
     }
 
     #[test]
-    fn sort_in_place_survives_duplicates_and_negatives() {
-        let mut s: Summary = vec![3.0, -1.0, 3.0, 0.0, -2.5].into_iter().collect();
-        s.sort_in_place();
-        assert_eq!(s.percentile(0.0), -2.5);
-        assert_eq!(s.percentile(100.0), 3.0);
-        assert_eq!(s.median(), 0.0);
+    fn unit_records_keep_the_weight_column_empty() {
+        let mut s: Summary = (0..100).map(f64::from).collect();
+        s.record_n(7.0, 1);
+        s.record_n(f64::NAN, 5);
+        assert!(s.weights.is_empty());
+        assert_eq!(s.count(), 101);
+        assert_eq!(s.nan_dropped(), 5);
+    }
+
+    #[test]
+    fn weight_column_starts_at_the_first_weighted_record() {
+        // The very first record weighted: no back-fill, yet the column
+        // must start, or its members would read as weight 1.
+        let mut first = Summary::new();
+        first.record_n(2.0, 3);
+        first.record(1.0);
+        assert_eq!(first.weights, [3, 1]);
+        assert_eq!(first.count(), 4);
+        assert_eq!(first.median(), 2.0);
+
+        // A later weighted record back-fills weight 1 for the earlier
+        // ones and drops the now-unused unweighted cache.
+        let mut late: Summary = vec![3.0, 1.0].into_iter().collect();
+        assert_eq!(late.median(), 2.0);
+        late.record_n(2.0, 4);
+        assert_eq!(late.weights, [1, 1, 4]);
+        assert_eq!(late.cache.borrow().capacity(), 0);
+        assert_eq!(late.count(), 6);
+        assert_eq!(late.percentile(0.0), 1.0);
+        assert_eq!(late.median(), 2.0);
+        assert_eq!(late.percentile(100.0), 3.0);
+        assert_eq!(late.count_above(1.5), 5);
+    }
+
+    #[test]
+    fn weighted_moments_match_the_expanded_stream() {
+        let mut s = Summary::new();
+        s.record_n(1.0, 3);
+        s.record_n(4.0, 1);
+        // Expanded: 1, 1, 1, 4 — mean 1.75, population variance 1.6875.
+        assert_eq!(s.mean(), 1.75);
+        assert!((s.std_dev() - 1.6875_f64.sqrt()).abs() < 1e-12);
+        assert_eq!(s.percentile(50.0), 1.0);
+        assert_eq!(s.percentile(100.0), 4.0);
+        // Rank 2.7 of [1, 1, 1, 4] interpolates between 1 and 4.
+        assert!((s.percentile(90.0) - 3.1).abs() < 1e-12);
+    }
+
+    #[test]
+    fn snapshot_round_trip_is_bit_identical() {
+        let mut s: Summary = vec![0.5, 0.25].into_iter().collect();
+        s.record_n(0.75, 9);
+        s.record(f64::NAN);
+        s.record(0.1);
+        let mut w = SnapWriter::new();
+        s.snapshot_write(&mut w);
+        let bytes = w.finish();
+        let restored = Summary::snapshot_read(&mut SnapReader::open(&bytes).unwrap()).unwrap();
+        assert!(restored.records().eq(s.records()));
+        assert_eq!(restored.count(), s.count());
+        assert_eq!(restored.nan_dropped(), 1);
+        assert_eq!(restored.mean().to_bits(), s.mean().to_bits());
+        assert_eq!(restored.std_dev().to_bits(), s.std_dev().to_bits());
+        assert_eq!(
+            restored.percentile(37.0).to_bits(),
+            s.percentile(37.0).to_bits()
+        );
     }
 
     #[test]

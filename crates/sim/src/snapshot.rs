@@ -34,8 +34,10 @@ pub const SNAPSHOT_MAGIC: [u8; 4] = *b"HYSN";
 /// state and stats, driver payloads append the resilience RNG stream, and
 /// the cohort table carries a per-slot attempt counter; 4 = a container
 /// writes one flow table (requests are flows of one member) and no
-/// separate request list.
-pub const SNAPSHOT_VERSION: u32 = 4;
+/// separate request list; 5 = response-time and end-to-end summaries are
+/// written as `(value, weight)` records, one per completed flow rather
+/// than one sample per member.
+pub const SNAPSHOT_VERSION: u32 = 5;
 
 /// FNV-1a 64-bit hash of a byte slice.
 ///

@@ -22,7 +22,7 @@ use hyscale::sim::{
     SimDuration, SimRng, SimTime, SnapReader, SnapWriter, SnapshotError, SNAPSHOT_VERSION,
 };
 use hyscale::trace::{export, RunMeta, TraceSink};
-use hyscale::workload::{LoadPattern, RetryPolicy, ServiceGraph, ServiceProfile};
+use hyscale::workload::{LoadPattern, RetryPolicy, ServiceGraph, ServiceProfile, ServiceSpec};
 
 /// Fresh scratch directory under the system temp dir; unique per test
 /// case so parallel test threads never collide.
@@ -389,6 +389,48 @@ fn snapshotting_does_not_perturb_the_run() {
         "writing snapshots changed the simulation outcome"
     );
     let _ = fs::remove_dir_all(&dir);
+}
+
+/// Checkpoint size and completed members of a cheap cohort-mode run on
+/// fixed replicas, halted at its first snapshot (tick 200).
+fn cohort_checkpoint(rate: f64, tag: &str) -> (u64, u64) {
+    let dir = scratch_dir(tag);
+    let mut builder = ScenarioBuilder::new("snap-size")
+        .nodes(2)
+        .duration_secs(30.0)
+        .algorithm(AlgorithmKind::None)
+        .initial_replicas(2)
+        .seed(11)
+        .cohort_arrivals(true)
+        .snapshot_every(200, &dir)
+        .snapshot_halt(true);
+    for i in 0..2 {
+        let load = LoadPattern::Constant { rate };
+        let spec = ServiceSpec::synthetic(i, ServiceProfile::CpuBound, load).with_demands(
+            0.0005,
+            MemMb(0.01),
+            0.001,
+        );
+        builder = builder.service(spec);
+    }
+    let report = builder.run().expect("scenario runs");
+    let bytes = fs::metadata(first_snapshot(&dir)).expect("snapshot").len();
+    let _ = fs::remove_dir_all(&dir);
+    (bytes, report.requests.completed)
+}
+
+#[test]
+fn checkpoint_size_does_not_grow_with_member_count() {
+    let (base_bytes, base_completed) = cohort_checkpoint(100.0, "size-1x");
+    let (flood_bytes, flood_completed) = cohort_checkpoint(800.0, "size-8x");
+    assert!(
+        flood_completed > 5 * base_completed,
+        "8x the rate must complete over 5x the members: {flood_completed} vs {base_completed}"
+    );
+    assert!(
+        flood_bytes < 2 * base_bytes,
+        "checkpoint grew with members: {flood_bytes} vs {base_bytes} bytes"
+    );
 }
 
 // ---------------------------------------------------------------------
