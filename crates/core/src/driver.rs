@@ -374,6 +374,18 @@ impl RunReport {
             .map(|a| a.recovery_failures)
             .sum()
     }
+
+    /// Releases the spare capacity of every response-time ledger once
+    /// no more records are coming.
+    fn trim(&mut self) {
+        self.requests.response_times.shrink_to_fit();
+        for o in self.per_service.values_mut() {
+            o.response_times.shrink_to_fit();
+        }
+        for e in &mut self.entry_points {
+            e.e2e_secs.shrink_to_fit();
+        }
+    }
 }
 
 /// Tallies one aborted/failed request exactly once, into both the overall
@@ -1520,7 +1532,7 @@ impl SimulationDriver {
             .as_ref()
             .map(|t| t.resilience_stats())
             .unwrap_or_default();
-        Ok(RunReport {
+        let mut report = RunReport {
             name: config.name.clone(),
             algorithm: config.algorithm,
             seeds: vec![config.seed],
@@ -1543,7 +1555,9 @@ impl SimulationDriver {
                 .unwrap_or_default(),
             resilience,
             state_digest,
-        })
+        };
+        report.trim();
+        Ok(report)
     }
 
     /// Runs the scenario once per seed and merges the outcomes — the
@@ -1593,6 +1607,7 @@ impl SimulationDriver {
             // A state digest witnesses one run's end state; a merged
             // report no longer corresponds to any single run.
             merged.state_digest = None;
+            merged.trim();
         }
         Ok(merged)
     }
@@ -1778,9 +1793,8 @@ fn restore_rngs(r: &mut SnapReader<'_>, rngs: &mut [SimRng]) -> Result<(), Snaps
     Ok(())
 }
 
-/// Writes request outcomes including every response-time record, so the
-/// restored Welford accumulator is bit-exact (it is replay-order
-/// deterministic).
+/// Writes request outcomes including the whole response-time summary
+/// (moments and records), so the restore is bit-exact.
 fn write_outcomes(w: &mut SnapWriter, o: &RequestOutcomes) {
     w.put_u64(o.issued);
     w.put_u64(o.completed);

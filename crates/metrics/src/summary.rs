@@ -1,6 +1,10 @@
 //! Streaming summary statistics with exact percentiles.
+//!
+//! A [`Summary`] keeps exactly one copy of its records. The first
+//! percentile query sorts that copy in place, so a report that asks for
+//! p50, p95 and p99 pays one sort and no second buffer.
 
-use std::cell::{Cell, RefCell};
+use std::cell::{Cell, Ref, RefCell};
 
 use hyscale_sim::{SnapReader, SnapWriter, SnapshotError};
 
@@ -16,7 +20,9 @@ use hyscale_sim::{SnapReader, SnapWriter, SnapshotError};
 ///
 /// The mean and variance are maintained streamingly (weighted Welford);
 /// percentiles are exact over the records, as if each record were
-/// repeated once per member.
+/// repeated once per member. The first percentile query after an
+/// out-of-order record sorts the records in place, weights alongside;
+/// on unweighted records that query allocates nothing.
 ///
 /// # Example
 ///
@@ -36,29 +42,116 @@ use hyscale_sim::{SnapReader, SnapWriter, SnapshotError};
 /// ```
 #[derive(Debug, Clone)]
 pub struct Summary {
-    values: Vec<f64>,
-    /// Weight of each record in `values`; empty while every record has
-    /// weight 1, otherwise exactly as long as `values`.
-    weights: Vec<u64>,
+    /// The records, behind a `RefCell` so that a percentile query (which
+    /// takes `&self`) can sort them in place.
+    columns: RefCell<Columns>,
     /// Total weight recorded (the member count).
     total: u64,
     mean: f64,
     m2: f64,
     min: f64,
     max: f64,
-    /// Whether `values` is known to be sorted (lazily maintained).
+    /// Whether the records are in ascending value order. A record below
+    /// the last one clears it; the next percentile query sorts and sets
+    /// it again.
     sorted: Cell<bool>,
     /// NaN samples rejected at record time (see [`Summary::record_n`]).
     nan_dropped: u64,
-    /// Sorted copy of `values`, built lazily for percentile queries on
-    /// unsorted unweighted data and reused (no reallocation) until
-    /// invalidated by the next record.
-    cache: RefCell<Vec<f64>>,
-    /// The weighted counterpart of `cache`: records sorted by value, each
-    /// carrying the running total of the weights up to and including it.
-    weighted_cache: RefCell<Vec<(f64, u64)>>,
-    cache_valid: Cell<bool>,
 }
+
+/// The record columns of a [`Summary`].
+#[derive(Debug, Clone, Default)]
+struct Columns {
+    values: Vec<f64>,
+    /// Weight of each record in `values`; empty while every record has
+    /// weight 1, otherwise exactly as long as `values`.
+    weights: Vec<u64>,
+}
+
+impl Columns {
+    /// Appends one record; `n` is at least 1.
+    fn push(&mut self, value: f64, n: u64) {
+        if n != 1 || !self.weights.is_empty() {
+            // Back-fills weight 1 for the records before the first
+            // weighted one (none when that record is the very first).
+            self.weights.resize(self.values.len(), 1);
+            self.weights.push(n);
+        }
+        self.values.push(value);
+    }
+
+    /// Sorts the records by value in place, co-sorting the weights when
+    /// the weight column exists.
+    fn sort(&mut self) {
+        if self.weights.is_empty() {
+            self.values.sort_unstable_by(f64::total_cmp);
+            return;
+        }
+        // Weighted records are few (one per cohort), so a scratch pair
+        // buffer is cheap.
+        let mut pairs: Vec<(f64, u64)> = self
+            .values
+            .iter()
+            .copied()
+            .zip(self.weights.iter().copied())
+            .collect();
+        pairs.sort_unstable_by(|a, b| a.0.total_cmp(&b.0));
+        for ((value, weight), (v, w)) in self.values.iter_mut().zip(&mut self.weights).zip(pairs) {
+            *value = v;
+            *weight = w;
+        }
+    }
+
+    /// Nearest-rank with linear interpolation over the sorted records,
+    /// expanded one sample per member without expanding them. Queries
+    /// come at report time and weighted records are few (one per
+    /// cohort), so each rank is found by a walk over the weights.
+    fn weighted_percentile(&self, p: f64, total: u64) -> f64 {
+        // The sample at expanded rank `k` is the first record whose
+        // running weight total exceeds `k`.
+        let at = |k: u64| {
+            let mut upto = 0;
+            let i = self.weights.iter().position(|&w| {
+                upto += w;
+                upto > k
+            });
+            self.values[i.expect("rank below the total weight")]
+        };
+        let rank = p / 100.0 * (total - 1) as f64;
+        let lo = rank.floor() as u64;
+        let hi = rank.ceil() as u64;
+        if lo == hi {
+            at(lo)
+        } else {
+            let frac = rank - lo as f64;
+            at(lo) * (1.0 - frac) + at(hi) * frac
+        }
+    }
+}
+
+/// Iterator over a summary's `(value, weight)` records in stored order.
+struct RecordIter<'a> {
+    columns: Ref<'a, Columns>,
+    next: usize,
+}
+
+impl Iterator for RecordIter<'_> {
+    type Item = (f64, u64);
+
+    fn next(&mut self) -> Option<(f64, u64)> {
+        let value = *self.columns.values.get(self.next)?;
+        let weight = self.columns.weights.get(self.next).copied().unwrap_or(1);
+        self.next += 1;
+        Some((value, weight))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let left = self.columns.values.len() - self.next;
+        (left, Some(left))
+    }
+}
+
+impl ExactSizeIterator for RecordIter<'_> {}
 
 impl Default for Summary {
     /// Identical to [`Summary::new`] (an empty summary with proper
@@ -72,8 +165,7 @@ impl Summary {
     /// Creates an empty summary.
     pub fn new() -> Self {
         Summary {
-            values: Vec::new(),
-            weights: Vec::new(),
+            columns: RefCell::default(),
             total: 0,
             mean: 0.0,
             m2: 0.0,
@@ -81,9 +173,6 @@ impl Summary {
             max: f64::NEG_INFINITY,
             sorted: Cell::new(true),
             nan_dropped: 0,
-            cache: RefCell::new(Vec::new()),
-            weighted_cache: RefCell::new(Vec::new()),
-            cache_valid: Cell::new(false),
         }
     }
 
@@ -108,34 +197,30 @@ impl Summary {
             self.nan_dropped += n;
             return;
         }
-        self.cache_valid.set(false);
-        // Weighted Welford (West, 1979). With n = 1 the products by `w`
-        // are exact, so these are the unweighted updates bit for bit.
+        // Weighted Welford. With n = 1 the products by `w` are exact, so
+        // the mean and `m2` take the unweighted updates bit for bit.
+        let before = self.total as f64;
         self.total += n;
         let w = n as f64;
         let delta = value - self.mean;
         self.mean += delta * w / self.total as f64;
-        self.m2 += delta * w * (value - self.mean);
+        if n == 1 {
+            self.m2 += delta * (value - self.mean);
+        } else {
+            // The pairwise form (Chan et al., 1979) for a record of `n`
+            // equal samples. West's `delta * w * (value - mean)` would
+            // multiply the new mean's rounding error by `w`: one record
+            // of weight n can miss `value` by an ulp, so its zero spread
+            // would read as ~1e-8 relative.
+            self.m2 += delta * delta * (w * before / self.total as f64);
+        }
         self.min = self.min.min(value);
         self.max = self.max.max(value);
-        if self.sorted.get() {
-            if let Some(&last) = self.values.last() {
-                if value < last {
-                    self.sorted.set(false);
-                }
-            }
+        let columns = self.columns.get_mut();
+        if columns.values.last().is_some_and(|&last| value < last) {
+            self.sorted.set(false);
         }
-        if n != 1 || !self.weights.is_empty() {
-            if self.weights.is_empty() {
-                // First weighted record: the unweighted cache is dead.
-                *self.cache.get_mut() = Vec::new();
-            }
-            // Back-fills weight 1 for the records before the first
-            // weighted one (none when that record is the very first).
-            self.weights.resize(self.values.len(), 1);
-            self.weights.push(n);
-        }
-        self.values.push(value);
+        columns.push(value, n);
     }
 
     /// Number of recorded samples: the total weight of the records.
@@ -143,19 +228,30 @@ impl Summary {
         self.total as usize
     }
 
-    /// The `(value, weight)` records in insertion order, one per
+    /// The `(value, weight)` records in stored order, one per
     /// [`Summary::record_n`] call that kept a value.
     ///
-    /// Replaying these through [`Summary::record_n`] in order — plus
-    /// [`Summary::nan_dropped`] NaN records — rebuilds a bit-identical
-    /// summary, because Welford's updates are order-deterministic.
+    /// Stored order is insertion order until the first percentile query
+    /// that finds the records out of order; that query sorts them by
+    /// value in place. Replaying never-queried records through
+    /// [`Summary::record_n`] in order — plus [`Summary::nan_dropped`]
+    /// NaN records — rebuilds a bit-identical summary, because Welford's
+    /// updates are order-deterministic. A replay of sorted records has
+    /// the same count, extremes and percentiles, but its mean and
+    /// variance may differ in the last ulps.
+    ///
+    /// The iterator borrows the records: a percentile query made while
+    /// it is alive panics if it has to sort them.
     pub fn records(&self) -> impl ExactSizeIterator<Item = (f64, u64)> + '_ {
-        (0..self.values.len()).map(|i| (self.values[i], self.weights.get(i).copied().unwrap_or(1)))
+        RecordIter {
+            columns: self.columns.borrow(),
+            next: 0,
+        }
     }
 
     /// True if no samples were recorded.
     pub fn is_empty(&self) -> bool {
-        self.values.is_empty()
+        self.total == 0
     }
 
     /// Arithmetic mean; 0.0 when empty.
@@ -205,28 +301,24 @@ impl Summary {
     ///   value a real sample instead of poisoning downstream arithmetic;
     /// * an empty summary returns 0.0 for every `p`, matching
     ///   [`Summary::mean`]/[`Summary::min`]/[`Summary::max`].
+    ///
+    /// The first query after an out-of-order record sorts the records in
+    /// place (see [`Summary::records`]); later queries reuse that order.
     pub fn percentile(&self, p: f64) -> f64 {
         let p = if p.is_nan() { 0.0 } else { p.clamp(0.0, 100.0) };
         if self.is_empty() {
             return 0.0;
         }
-        if !self.weights.is_empty() {
-            return self.weighted_percentile(p);
+        if !self.sorted.get() {
+            self.columns.borrow_mut().sort();
+            self.sorted.set(true);
         }
-        if self.sorted.get() {
-            return Self::percentile_of(&self.values, p);
+        let columns = self.columns.borrow();
+        if columns.weights.is_empty() {
+            Self::percentile_of(&columns.values, p)
+        } else {
+            columns.weighted_percentile(p, self.total)
         }
-        // Unsorted: consult the cached sorted copy, (re)building it at
-        // most once per batch of records. `clone_from` reuses the cache's
-        // existing allocation, so repeated report queries after the first
-        // allocate nothing.
-        if !self.cache_valid.get() {
-            let mut cache = self.cache.borrow_mut();
-            cache.clone_from(&self.values);
-            cache.sort_unstable_by(f64::total_cmp);
-            self.cache_valid.set(true);
-        }
-        Self::percentile_of(&self.cache.borrow(), p)
     }
 
     /// Nearest-rank with linear interpolation over a sorted slice.
@@ -239,37 +331,6 @@ impl Summary {
         } else {
             let frac = rank - lo as f64;
             sorted[lo] * (1.0 - frac) + sorted[hi] * frac
-        }
-    }
-
-    /// [`Summary::percentile_of`] over the records expanded one sample
-    /// per member, without expanding them: the ranks are found by binary
-    /// search over running weight totals.
-    fn weighted_percentile(&self, p: f64) -> f64 {
-        if !self.cache_valid.get() {
-            let mut cache = self.weighted_cache.borrow_mut();
-            cache.clear();
-            cache.extend(self.records());
-            cache.sort_unstable_by(|a, b| a.0.total_cmp(&b.0));
-            let mut running = 0;
-            for (_, w) in cache.iter_mut() {
-                running += *w;
-                *w = running;
-            }
-            self.cache_valid.set(true);
-        }
-        let cum = self.weighted_cache.borrow();
-        // The sample at expanded rank `k` is the first record whose
-        // running total exceeds `k`.
-        let at = |k: u64| cum[cum.partition_point(|&(_, upto)| upto <= k)].0;
-        let rank = p / 100.0 * (self.total - 1) as f64;
-        let lo = rank.floor() as u64;
-        let hi = rank.ceil() as u64;
-        if lo == hi {
-            at(lo)
-        } else {
-            let frac = rank - lo as f64;
-            at(lo) * (1.0 - frac) + at(hi) * frac
         }
     }
 
@@ -292,32 +353,65 @@ impl Summary {
             .sum::<u64>() as usize
     }
 
-    /// Serializes the records and the NaN drop count (mirrored by
+    /// Releases the record columns' spare capacity. Reports call this
+    /// once a run is over and no more records are coming.
+    pub fn shrink_to_fit(&mut self) {
+        let columns = self.columns.get_mut();
+        columns.values.shrink_to_fit();
+        columns.weights.shrink_to_fit();
+    }
+
+    /// Serializes the moments, the NaN drop count and the sorted flag,
+    /// then the records in stored order (mirrored by
     /// [`Summary::snapshot_read`]).
     pub fn snapshot_write(&self, w: &mut SnapWriter) {
-        w.put_usize(self.values.len());
-        for (v, n) in self.records() {
+        w.put_u64(self.total);
+        w.put_f64(self.mean);
+        w.put_f64(self.m2);
+        w.put_f64(self.min);
+        w.put_f64(self.max);
+        w.put_u64(self.nan_dropped);
+        w.put_bool(self.sorted.get());
+        let records = self.records();
+        w.put_usize(records.len());
+        for (v, n) in records {
             w.put_f64(v);
             w.put_u64(n);
         }
-        w.put_u64(self.nan_dropped);
     }
 
-    /// Rebuilds a summary written by [`Summary::snapshot_write`]. Each
-    /// record replays through [`Summary::record_n`] as the original call
-    /// did, so the restored summary is bit-identical.
+    /// Rebuilds a summary written by [`Summary::snapshot_write`]. The
+    /// moments are restored as written rather than replayed, so the
+    /// restored summary is bit-identical whatever order its records are
+    /// in.
     pub fn snapshot_read(r: &mut SnapReader<'_>) -> Result<Summary, SnapshotError> {
-        let mut s = Summary::new();
+        // Field initializers run in the order written, matching the writer.
+        let mut s = Summary {
+            columns: RefCell::default(),
+            total: r.get_u64()?,
+            mean: r.get_f64()?,
+            m2: r.get_f64()?,
+            min: r.get_f64()?,
+            max: r.get_f64()?,
+            nan_dropped: r.get_u64()?,
+            sorted: Cell::new(r.get_bool()?),
+        };
+        let columns = s.columns.get_mut();
         for _ in 0..r.get_usize()? {
             let value = r.get_f64()?;
-            s.record_n(value, r.get_u64()?);
+            columns.push(value, r.get_u64()?);
         }
-        s.nan_dropped = r.get_u64()?;
         Ok(s)
     }
 
     /// Merges another summary's records into this one, weights included
     /// (and its count of dropped NaN inputs).
+    ///
+    /// The records replay through [`Summary::record_n`] in `other`'s
+    /// stored order (see [`Summary::records`]). Merging never-queried
+    /// summaries is therefore bit-identical to recording both streams
+    /// back to back; after a percentile query has sorted `other`, the
+    /// merged mean and variance may differ from that in the last ulps.
     pub fn merge(&mut self, other: &Summary) {
         for (v, n) in other.records() {
             self.record_n(v, n);
@@ -442,39 +536,11 @@ mod tests {
     }
 
     #[test]
-    fn percentile_queries_do_not_reallocate() {
-        let mut s = Summary::new();
-        // Descending input keeps `samples` unsorted, forcing cache use.
-        s.extend((0..1000).rev().map(f64::from));
-        let _ = s.percentile(50.0);
-        let ptr = s.cache.borrow().as_ptr();
-        // Repeated queries reuse the already-sorted cache: same buffer,
-        // no clone-and-sort per call (the old behaviour).
-        for p in [0.0, 25.0, 50.0, 75.0, 99.0, 100.0] {
-            let _ = s.percentile(p);
-        }
-        assert_eq!(s.cache.borrow().as_ptr(), ptr, "query reallocated cache");
-        // Record/query cycles rebuild the cache via clone_from, reusing
-        // the buffer once its capacity has settled.
-        s.record(-1.0);
-        assert_eq!(s.percentile(0.0), -1.0);
-        let (settled_ptr, settled_cap) = {
-            let c = s.cache.borrow();
-            (c.as_ptr(), c.capacity())
-        };
-        s.record(-2.0);
-        assert_eq!(s.percentile(0.0), -2.0);
-        let c = s.cache.borrow();
-        assert_eq!(c.as_ptr(), settled_ptr, "rebuild reallocated cache");
-        assert_eq!(c.capacity(), settled_cap, "rebuild changed capacity");
-    }
-
-    #[test]
     fn unit_records_keep_the_weight_column_empty() {
         let mut s: Summary = (0..100).map(f64::from).collect();
         s.record_n(7.0, 1);
         s.record_n(f64::NAN, 5);
-        assert!(s.weights.is_empty());
+        assert!(s.columns.borrow().weights.is_empty());
         assert_eq!(s.count(), 101);
         assert_eq!(s.nan_dropped(), 5);
     }
@@ -486,22 +552,43 @@ mod tests {
         let mut first = Summary::new();
         first.record_n(2.0, 3);
         first.record(1.0);
-        assert_eq!(first.weights, [3, 1]);
+        assert_eq!(first.columns.borrow().weights, [3, 1]);
         assert_eq!(first.count(), 4);
         assert_eq!(first.median(), 2.0);
 
         // A later weighted record back-fills weight 1 for the earlier
-        // ones and drops the now-unused unweighted cache.
+        // ones, which the median query has already sorted.
         let mut late: Summary = vec![3.0, 1.0].into_iter().collect();
         assert_eq!(late.median(), 2.0);
         late.record_n(2.0, 4);
-        assert_eq!(late.weights, [1, 1, 4]);
-        assert_eq!(late.cache.borrow().capacity(), 0);
+        assert_eq!(late.columns.borrow().weights, [1, 1, 4]);
         assert_eq!(late.count(), 6);
         assert_eq!(late.percentile(0.0), 1.0);
         assert_eq!(late.median(), 2.0);
         assert_eq!(late.percentile(100.0), 3.0);
         assert_eq!(late.count_above(1.5), 5);
+    }
+
+    #[test]
+    fn percentile_sorts_the_records_in_place() {
+        let mut s: Summary = vec![3.0, 1.0, 2.0].into_iter().collect();
+        assert!(s.records().eq([(3.0, 1), (1.0, 1), (2.0, 1)]));
+        assert_eq!(s.median(), 2.0);
+        assert!(s.records().eq([(1.0, 1), (2.0, 1), (3.0, 1)]));
+        // An append in order keeps the records sorted; one below the
+        // last value waits for the next query to sort it in.
+        s.record(4.0);
+        assert!(s.sorted.get());
+        s.record_n(0.5, 3);
+        assert!(!s.sorted.get());
+        assert!(s
+            .records()
+            .eq([(1.0, 1), (2.0, 1), (3.0, 1), (4.0, 1), (0.5, 3)]));
+        // Expanded: 0.5, 0.5, 0.5, 1, 2, 3, 4.
+        assert_eq!(s.median(), 1.0);
+        assert!(s
+            .records()
+            .eq([(0.5, 3), (1.0, 1), (2.0, 1), (3.0, 1), (4.0, 1)]));
     }
 
     #[test]
@@ -516,6 +603,18 @@ mod tests {
         assert_eq!(s.percentile(100.0), 4.0);
         // Rank 2.7 of [1, 1, 1, 4] interpolates between 1 and 4.
         assert!((s.percentile(90.0) - 3.1).abs() < 1e-12);
+    }
+
+    #[test]
+    fn equal_weighted_records_have_zero_spread() {
+        // 0.1 * 3 / 3 rounds above 0.1, which West's update would
+        // amplify into a spread of ~1e-9.
+        let mut s = Summary::new();
+        s.record_n(0.1, 3);
+        assert_eq!(s.std_dev(), 0.0);
+        // The next record sees that one-ulp miss as its whole spread.
+        s.record_n(0.1, 7);
+        assert!(s.std_dev() < 0.1 * f64::EPSILON);
     }
 
     #[test]

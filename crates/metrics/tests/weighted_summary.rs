@@ -7,9 +7,14 @@
 //! `(value, weight)` stream is fed to [`Summary::record_n`] once per
 //! record and to the reference (and to a `Summary` built with a
 //! [`Summary::record`] loop) once per member.
+//!
+//! Percentile queries sort a summary's records in place, so the tests
+//! also interleave queries with records, round-trip the snapshot codec
+//! on both sides of a query, and merge queried and never-queried
+//! summaries.
 
 use hyscale_metrics::Summary;
-use hyscale_sim::SimRng;
+use hyscale_sim::{SimRng, SnapReader, SnapWriter};
 
 /// The pre-weights summary, one retained sample per member.
 #[derive(Default)]
@@ -249,8 +254,10 @@ fn merge_replays_records_and_conserves_count() {
         let whole = build(&whole);
         assert_eq!(merged.count(), build(&left).count() + other.count());
         assert_eq!(merged.nan_dropped(), whole.nan_dropped());
-        // Merging replays the other side's records in order, so it is
-        // the same summary as recording both streams back to back.
+        // Merging never-queried summaries replays the other side's
+        // records in insertion order, so it is the same summary as
+        // recording both streams back to back.
+        assert!(merged.records().eq(whole.records()), "case {case}");
         assert_eq!(merged.mean().to_bits(), whole.mean().to_bits());
         assert_eq!(merged.std_dev().to_bits(), whole.std_dev().to_bits());
         for p in percentile_grid() {
@@ -259,7 +266,138 @@ fn merge_replays_records_and_conserves_count() {
                 whole.percentile(p).to_bits()
             );
         }
-        assert!(merged.records().eq(whole.records()), "case {case}");
+    }
+}
+
+#[test]
+fn merging_a_queried_summary_keeps_counts_and_percentiles_exact() {
+    let mut rng = SimRng::seed_from(0x6e76);
+    for case in 0..200 {
+        let left = stream(&mut rng, SHAPES[case % SHAPES.len()]);
+        let right = stream(&mut rng, SHAPES[(case / 4) % SHAPES.len()]);
+        let mut reference = Reference::default();
+        let mut merged = Summary::new();
+        let mut other = Summary::new();
+        for &(v, n) in &left {
+            merged.record_n(v, n);
+        }
+        for &(v, n) in &right {
+            other.record_n(v, n);
+        }
+        for &(v, n) in left.iter().chain(&right) {
+            for _ in 0..n {
+                reference.record(v);
+            }
+        }
+        // Both sides sorted in place before the merge: the replay order
+        // is value order, so only the moments may move, in the last ulps.
+        let _ = merged.percentile(50.0);
+        let _ = other.percentile(50.0);
+        merged.merge(&other);
+        assert_matches(&merged, &reference, false, &format!("case {case}"));
+    }
+}
+
+/// Asserts that `s` stores exactly the non-NaN records of `inserted`, as
+/// a multiset, and that they are in value order.
+fn assert_sorted_permutation(s: &Summary, inserted: &[(f64, u64)], ctx: &str) {
+    let stored: Vec<(f64, u64)> = s.records().collect();
+    assert!(
+        stored.windows(2).all(|w| w[0].0.total_cmp(&w[1].0).is_le()),
+        "{ctx}: records not in value order after a query"
+    );
+    let key = |&(v, n): &(f64, u64)| (v.to_bits(), n);
+    let mut stored: Vec<_> = stored.iter().map(key).collect();
+    let mut expected: Vec<_> = inserted
+        .iter()
+        .filter(|(v, _)| !v.is_nan())
+        .map(key)
+        .collect();
+    stored.sort_unstable();
+    expected.sort_unstable();
+    assert_eq!(stored, expected, "{ctx}: records lost or changed");
+}
+
+#[test]
+fn interleaved_queries_sort_in_place_and_answer_as_the_expanded_stream() {
+    let mut rng = SimRng::seed_from(0x1a7e_0016);
+    for case in 0..400 {
+        let shape = SHAPES[case % SHAPES.len()];
+        let records = stream(&mut rng, shape);
+        // Some cases query after every record, the rest now and then.
+        let query_odds = if case % 5 == 0 { 1.0 } else { 0.2 };
+        let mut s = Summary::new();
+        let mut reference = Reference::default();
+        for (i, &(value, n)) in records.iter().enumerate() {
+            s.record_n(value, n);
+            for _ in 0..n {
+                reference.record(value);
+            }
+            if rng.chance(query_odds) {
+                let ctx = format!("case {case} ({shape:?}) after record {i}");
+                assert_matches(&s, &reference, matches!(shape, Shape::Unit), &ctx);
+                assert_sorted_permutation(&s, &records[..=i], &ctx);
+            }
+        }
+    }
+}
+
+fn snapshot_bytes(s: &Summary) -> Vec<u8> {
+    let mut w = SnapWriter::new();
+    s.snapshot_write(&mut w);
+    w.finish()
+}
+
+fn restore(bytes: &[u8]) -> Summary {
+    Summary::snapshot_read(&mut SnapReader::open(bytes).expect("frame")).expect("summary")
+}
+
+#[test]
+fn codec_round_trips_bit_exactly_on_both_sides_of_a_query() {
+    let mut rng = SimRng::seed_from(0xc0de_c006);
+    for case in 0..400 {
+        let shape = SHAPES[case % SHAPES.len()];
+        let records = stream(&mut rng, shape);
+        let cut = rng.uniform_usize(records.len() + 1);
+        let queried = case % 2 == 1;
+        let mut original = Summary::new();
+        for &(v, n) in &records[..cut] {
+            original.record_n(v, n);
+        }
+        if queried {
+            let _ = original.percentile(95.0);
+        }
+        let bytes = snapshot_bytes(&original);
+        let mut twin = restore(&bytes);
+        let ctx = format!("case {case} ({shape:?}, queried {queried}, cut {cut})");
+        assert_eq!(snapshot_bytes(&twin), bytes, "{ctx}: re-written bytes");
+        assert!(twin.records().eq(original.records()), "{ctx}: records");
+        assert_eq!(twin.mean().to_bits(), original.mean().to_bits(), "{ctx}");
+        assert_eq!(
+            twin.std_dev().to_bits(),
+            original.std_dev().to_bits(),
+            "{ctx}"
+        );
+        // Both twins keep recording, and querying at the same points:
+        // their states, and so their snapshots, must never drift apart.
+        for (i, &(v, n)) in records[cut..].iter().enumerate() {
+            original.record_n(v, n);
+            twin.record_n(v, n);
+            if rng.chance(0.1) {
+                for p in [0.0, 50.0, 99.0] {
+                    assert_eq!(
+                        twin.percentile(p).to_bits(),
+                        original.percentile(p).to_bits(),
+                        "{ctx}: p{p} after {i} more"
+                    );
+                }
+            }
+        }
+        assert_eq!(
+            snapshot_bytes(&twin),
+            snapshot_bytes(&original),
+            "{ctx}: bytes after recording on"
+        );
     }
 }
 

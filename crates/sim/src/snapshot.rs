@@ -36,8 +36,10 @@ pub const SNAPSHOT_MAGIC: [u8; 4] = *b"HYSN";
 /// writes one flow table (requests are flows of one member) and no
 /// separate request list; 5 = response-time and end-to-end summaries are
 /// written as `(value, weight)` records, one per completed flow rather
-/// than one sample per member.
-pub const SNAPSHOT_VERSION: u32 = 5;
+/// than one sample per member; 6 = those summaries write their moments,
+/// NaN drop count and sorted flag, then their records in stored order
+/// (which a percentile query may have sorted).
+pub const SNAPSHOT_VERSION: u32 = 6;
 
 /// FNV-1a 64-bit hash of a byte slice.
 ///
