@@ -5,11 +5,14 @@
 //! admission shedding). Reports the goodput-vs-wasted-work split per
 //! algorithm for both arms, plus a serial-vs-parallel and repeat-run
 //! bit-identity check of the whole resilience path (backoff jitter,
-//! token buckets, deadlines, shedding).
+//! token buckets, deadlines, shedding). Writes the two arms' tables to
+//! `results/retry_storm_{smoke,quick,full}.txt`.
 //!
 //! ```sh
 //! cargo run --release -p hyscale-bench --bin retry_storm [-- --full | --smoke]
 //! ```
+
+use std::fmt::Write as _;
 
 use hyscale_bench::runner::{perf_table, sweep_all, FigureRow};
 use hyscale_bench::scenarios::{retry_storm, Scale};
@@ -47,21 +50,33 @@ fn resilience_table(rows: &[FigureRow]) -> Table {
     table
 }
 
-fn scale_from_args() -> Scale {
+/// What the two arms should show, printed after their tables.
+const EXPECTATION: &str = "\
+expectation: both arms face the identical fault storm and
+retry policy. Without brakes, failed bursts re-enter the
+struggling tiers as fresh load, so retries snowball and a
+growing share of completed work belongs to roots that fail
+anyway — goodput % collapses. With the budget, deadline, and
+shedding engaged, retries are capped at a fixed fraction of
+successes and hopeless roots are cut early, so wasted work
+stays bounded and goodput % recovers.
+";
+
+fn scale_from_args() -> (Scale, &'static str) {
     if std::env::args().any(|a| a == "--full") {
         println!("[scale: full — 19 workers, 15 services, 3600 s, 5 seeds]");
-        Scale::full()
+        (Scale::full(), "full")
     } else if std::env::args().any(|a| a == "--smoke") {
         println!("[scale: smoke — 4 workers, 3 services, 300 s, 1 seed]");
-        Scale::bench()
+        (Scale::bench(), "smoke")
     } else {
         println!("[scale: quick — pass --full for the paper-size run]");
-        Scale::quick()
+        (Scale::quick(), "quick")
     }
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let scale = scale_from_args();
+    let (scale, label) = scale_from_args();
 
     // Determinism gate: every resilience mechanism draws from a
     // dedicated serial-phase RNG stream, so the storm must be
@@ -90,6 +105,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "the storm must actually trigger retries"
     );
 
+    let mut out = String::new();
     for budgeted in [false, true] {
         let rows = sweep_all(|k| retry_storm(&scale, k, budgeted), &scale.seeds)?;
         let arm = if budgeted {
@@ -97,17 +113,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         } else {
             "unbudgeted: unlimited retries, no deadline, no shedding"
         };
-        println!("\n=== Retry storm ({arm}) ===");
-        println!("{}", perf_table(&rows));
-        println!("{}", resilience_table(&rows));
+        if budgeted {
+            out.push('\n');
+        }
+        writeln!(out, "=== Retry storm ({arm}) ===")?;
+        writeln!(out, "{}", perf_table(&rows))?;
+        writeln!(out, "{}", resilience_table(&rows))?;
     }
-    println!("expectation: both arms face the identical fault storm and");
-    println!("retry policy. Without brakes, failed bursts re-enter the");
-    println!("struggling tiers as fresh load, so retries snowball and a");
-    println!("growing share of completed work belongs to roots that fail");
-    println!("anyway — goodput % collapses. With the budget, deadline, and");
-    println!("shedding engaged, retries are capped at a fixed fraction of");
-    println!("successes and hopeless roots are cut early, so wasted work");
-    println!("stays bounded and goodput % recovers.");
+    out.push_str(EXPECTATION);
+    print!("\n{out}");
+
+    std::fs::create_dir_all("results")?;
+    std::fs::write(format!("results/retry_storm_{label}.txt"), &out)?;
     Ok(())
 }

@@ -18,8 +18,7 @@
 //!    the last step that completed >= 95% of what was offered.
 //! 4. **Million users** — 96 containers x 11,000-member cohorts put
 //!    1,056,000 concurrent members in flight, drained to empty serially
-//!    and in parallel with digests compared, then the post-drain idle
-//!    stretch is jumped with `Cluster::advance_warp`.
+//!    and in parallel with digests compared.
 //! 5. **Scale sweep** — total node count sweeps 24 / 240 / 2400 / 10000
 //!    while the traffic footprint stays pinned to (a fraction of) the
 //!    first 24 nodes: with the active-set engine, per-tick cost tracks
@@ -405,8 +404,6 @@ struct MillionOutcome {
     drain_ticks: u64,
     requests_per_sec: f64,
     checksum: u64,
-    /// Idle ticks `advance_warp` jumped after the drain.
-    warp_ticks: u64,
 }
 
 /// Fills 96 wide-queue containers with 11,000-member cohorts (1,056,000
@@ -462,16 +459,11 @@ fn million_drain(parallelism: usize) -> MillionOutcome {
         "every member must complete (timeouts would fail some)"
     );
 
-    // The post-drain stretch is provably idle: jump it in closed form.
-    let warp_ticks = cluster.advance_warp(now, dt, 3_000);
-    assert!(warp_ticks > 0, "idle cluster must be warpable");
-
     let outcome = MillionOutcome {
         peak_in_flight,
         drain_ticks,
         requests_per_sec: completed as f64 / elapsed,
         checksum,
-        warp_ticks,
     };
     println!(
         "  workers={:<2} {:>7} members in flight, drained in {} ticks ({:.2}s wall, {:>12.0} req/s, checksum {:016x})",
@@ -481,10 +473,6 @@ fn million_drain(parallelism: usize) -> MillionOutcome {
         elapsed,
         outcome.requests_per_sec,
         outcome.checksum
-    );
-    println!(
-        "  post-drain time warp skipped {} idle ticks in one jump",
-        outcome.warp_ticks
     );
     outcome
 }
@@ -897,7 +885,7 @@ fn main() {
          \"saturation_knee_rps\": {knee_rps:.0},\n    \"steps\": [\n{}\n    ]\n  }},\n  \
          \"million_users\": {{\n    \"containers\": {},\n    \"members_per_container\": {MILLION_MEMBERS_PER_CONTAINER},\n    \
          \"peak_in_flight\": {},\n    \"drain_ticks\": {},\n    \"requests_per_sec\": {:.1},\n    \
-         \"bit_identical\": true,\n    \"warp_ticks_skipped\": {}\n  }},\n  \
+         \"bit_identical\": true\n  }},\n  \
          \"scale_sweep\": {{\n    \"footprint_nodes\": {},\n    \"active_fraction\": {active_fraction:.2},\n    \
          \"workers\": 1,\n    \"sublinear_gate_floor\": {SCALE_GATE_FLOOR:.2},\n    \
          \"gate_span_nodes\": {SCALE_GATE_SPAN_NODES},\n    \"bit_identical\": true,\n    \
@@ -922,7 +910,6 @@ fn main() {
         million.peak_in_flight,
         million.drain_ticks,
         million.requests_per_sec,
-        million.warp_ticks,
         footprint_nodes(active_fraction),
         scale_json.join(",\n"),
     );

@@ -1575,129 +1575,6 @@ impl Cluster {
         });
     }
 
-    /// Advances the cluster across up to `max_ticks` consecutive *idle*
-    /// ticks in closed form — the time-warp extension of the per-node
-    /// idle fast path. During an idle span every tick performs the same
-    /// arithmetic (base CPU tax, throughput-EWMA decay, usage-window
-    /// bookkeeping), so all of it can be applied at once.
-    ///
-    /// Preconditions (checked; violation returns 0 and the caller falls
-    /// back to [`Cluster::advance_into`]):
-    ///
-    /// * no request or cohort is in flight anywhere,
-    /// * no antagonist container is live,
-    /// * every node's idle grant comes from the one-round closed form.
-    ///
-    /// The warp additionally clamps itself to stop before the earliest
-    /// container startup boundary, so no liveness transition falls inside
-    /// the span. Returns the number of ticks actually warped.
-    ///
-    /// Warping is deterministic (same inputs → same state), but the
-    /// floating-point accumulation uses closed-form products rather than
-    /// `k` repeated sums, so post-warp state is not bit-identical to `k`
-    /// looped idle ticks. The digest-relevant outputs — completions and
-    /// failures — are identically empty either way.
-    pub fn advance_warp(&mut self, now: SimTime, dt: SimDuration, max_ticks: u64) -> u64 {
-        let dt_secs = dt.as_secs();
-        if max_ticks == 0 || dt_secs <= 0.0 {
-            return 0;
-        }
-        let mut ticks = max_ticks;
-        let dt_us = dt.as_micros().max(1);
-        for node in &self.nodes {
-            for c in &node.slots {
-                if c.state() == ContainerState::Removed {
-                    continue;
-                }
-                if !c.flows.is_empty() {
-                    return 0;
-                }
-                if c.spec().antagonist && c.live(now) {
-                    return 0;
-                }
-                if c.ready_at() > now {
-                    // Ticks starting strictly before `ready_at` see the
-                    // container as not yet live; stop the warp there.
-                    let gap = (c.ready_at() - now).as_micros();
-                    ticks = ticks.min(gap.div_ceil(dt_us));
-                }
-            }
-        }
-        if ticks == 0 {
-            return 0;
-        }
-        // The precondition scan above only reads fields the lazy
-        // catch-up never changes (state, in-flight, ready_at), so a
-        // refused warp stays cheap; a committed warp replays any parked
-        // span-ticks first so window/EWMA state is current.
-        self.flush_pending();
-        let config = self.config;
-        let mem_model = self.mem_model;
-        let nodes = &mut self.nodes;
-        let scratch = &mut self.scratch[0];
-        // Pass 0 verifies every node's constant per-tick grant is the
-        // one-round closed form (nothing has been mutated if it is not);
-        // pass 1 applies the whole span.
-        for pass in 0..2 {
-            for node in nodes.iter_mut() {
-                scratch.live.clear();
-                scratch.cpu_demands.clear();
-                for (slot, c) in node.slots.iter().enumerate() {
-                    if c.state() == ContainerState::Removed {
-                        continue;
-                    }
-                    scratch.live.push(slot);
-                    let demand = if c.live(now) {
-                        c.spec().base_cpu.get() * dt_secs
-                    } else {
-                        0.0
-                    };
-                    scratch.cpu_demands.push(CpuDemand::new(
-                        c.id(),
-                        demand,
-                        c.spec().cpu_request.get(),
-                    ));
-                }
-                if scratch.live.is_empty() {
-                    continue;
-                }
-                let active = scratch
-                    .cpu_demands
-                    .iter()
-                    .filter(|d| d.demand > 1e-12)
-                    .count();
-                let capacity = node.spec().cores.get()
-                    * dt_secs
-                    * config.overheads.cpu_contention_factor(active);
-                if !idle_grants(capacity, &scratch.cpu_demands, &mut scratch.cpu_grants) {
-                    debug_assert_eq!(pass, 0, "feasibility changed between passes");
-                    return 0;
-                }
-                if pass == 0 {
-                    continue;
-                }
-                let kf = ticks as f64;
-                let alpha = (dt_secs / THROUGHPUT_TAU_SECS.max(dt_secs)).clamp(0.0, 1.0);
-                let decay = (1.0 - alpha).powf(kf);
-                for (i, &s) in scratch.live.iter().enumerate() {
-                    let c = &mut node.slots[s];
-                    let granted = scratch.cpu_grants[i].granted;
-                    if granted > 0.0 {
-                        c.cpu_used_total += granted * kf;
-                    }
-                    c.throughput_ewma *= decay;
-                    let resident = c.resident_mem_with(0.0);
-                    let swapping = mem_model
-                        .pressure(resident, c.spec().mem_limit)
-                        .is_swapping();
-                    c.window
-                        .record_span(dt_secs, ticks, granted, resident, swapping);
-                }
-            }
-        }
-        ticks
-    }
-
     /// Snapshot (and reset) the usage windows of every container on a
     /// node — what a Node Manager reports to the Monitor each period.
     ///

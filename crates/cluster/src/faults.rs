@@ -615,21 +615,6 @@ impl FaultInjector {
         self.cursor == self.schedule.len() && self.pending.is_empty()
     }
 
-    /// The earliest future moment at which this injector will mutate the
-    /// cluster: the next scheduled fault or the next owed recovery,
-    /// whichever comes first. `None` once both are exhausted. Stat-outage
-    /// expiries are passive — [`FaultInjector::muted_nodes`] is a pure
-    /// function of `now` — so they never pin the clock; the time-warp
-    /// fast path uses this bound to know how far it may safely skip.
-    pub fn next_due_time(&self) -> Option<SimTime> {
-        let next_fault = self.schedule.get(self.cursor).map(|&(at, _)| at);
-        let next_recovery = self.pending.iter().map(|&(at, _)| at).min();
-        match (next_fault, next_recovery) {
-            (Some(f), Some(r)) => Some(f.min(r)),
-            (t, None) | (None, t) => t,
-        }
-    }
-
     /// Counts of faults applied so far.
     pub fn log(&self) -> FaultLog {
         self.log
@@ -717,29 +702,6 @@ mod tests {
         assert!(injector.drained());
         assert_eq!(injector.log().node_crashes, 1);
         assert_eq!(injector.log().reboots, 1);
-    }
-
-    #[test]
-    fn next_due_time_tracks_faults_then_recoveries() {
-        let (mut cl, nodes) = two_node_cluster();
-        let plan = FaultPlan::new().with(
-            2.0,
-            FaultKind::NodeCrash {
-                node: 0,
-                down_secs: 5.0,
-            },
-        );
-        let mut injector = FaultInjector::new(&plan, &nodes);
-        assert_eq!(injector.next_due_time(), Some(SimTime::from_secs(2.0)));
-
-        // After the crash strikes, the owed reboot pins the clock.
-        injector.apply_due(&mut cl, SimTime::from_secs(2.0));
-        assert_eq!(injector.next_due_time(), Some(SimTime::from_secs(7.0)));
-
-        // Once the reboot lands nothing remains due.
-        injector.apply_due(&mut cl, SimTime::from_secs(7.0));
-        assert_eq!(injector.next_due_time(), None);
-        assert!(injector.drained());
     }
 
     #[test]

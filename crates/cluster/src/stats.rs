@@ -88,25 +88,6 @@ impl UsageWindow {
         self.swapped |= swapping;
     }
 
-    /// Records `ticks` identical idle ticks at once (the time-warp fast
-    /// path): elapsed time and CPU accumulate `ticks`-fold, the resident
-    /// sample is the span's final value, and nothing is in flight.
-    pub fn record_span(
-        &mut self,
-        dt_secs: f64,
-        ticks: u64,
-        cpu_core_secs: f64,
-        mem: MemMb,
-        swapping: bool,
-    ) {
-        let t = ticks as f64;
-        self.elapsed_secs += dt_secs * t;
-        self.cpu_core_secs += cpu_core_secs * t;
-        self.last_mem = mem.get();
-        self.last_in_flight = 0;
-        self.swapped |= swapping;
-    }
-
     /// Produces the window's averages and resets the accumulator for the
     /// next window.
     pub fn snapshot_and_reset(&mut self, container: ContainerId) -> ContainerUsage {

@@ -91,11 +91,6 @@ pub struct ScenarioConfig {
     /// discipline from the default thinning process — not bit-comparable
     /// with it — but deterministic and bit-identical across parallelism.
     pub cohort_arrivals: bool,
-    /// Let provably idle stretches (nothing in flight, no event, fault,
-    /// or arrival due) be advanced in closed form as one jump. The warp
-    /// is deterministic but not bit-identical to ticking through the same
-    /// stretch (EWMA decay and usage windows are applied in closed form).
-    pub time_warp: bool,
     /// Service dependency DAG over the service list (by index). `None` =
     /// the classic independent-services model. With a graph, client load
     /// attaches only to entry-point services; each completed hop spawns
@@ -131,9 +126,8 @@ pub struct ScenarioConfig {
 /// When and where [`SimulationDriver`] writes full-state snapshots.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SnapshotPolicy {
-    /// Write a snapshot each time this many ticks have elapsed (time-warp
-    /// jumps that overshoot a boundary snapshot once, at the landing
-    /// tick). Must be positive.
+    /// Write a snapshot each time this many ticks have elapsed. Must be
+    /// positive.
     pub every_ticks: u64,
     /// Directory snapshot files are written into (created on demand).
     pub dir: PathBuf,
@@ -322,8 +316,8 @@ pub struct RunReport {
     /// Control-plane health counters (all zero when the control-plane
     /// degradation layer is disabled).
     pub control_plane: ControlPlaneStats,
-    /// Ticks the time-warp fast path skipped in closed form (0 unless
-    /// [`ScenarioConfig::time_warp`] was enabled).
+    /// Always 0: the simulator no longer skips idle ticks. Kept because
+    /// the end-to-end benchmark's correctness hash still reads it.
     pub warp_ticks: u64,
     /// End-to-end outcomes per entry point, in ascending service order
     /// (empty unless [`ScenarioConfig::graph`] was set).
@@ -686,9 +680,8 @@ impl SimulationDriver {
         let mut engine = TickEngine::new(config.tick, horizon)?;
         let scale_period_secs = config.scale_period.as_secs();
         let mut tick_report = TickReport::default();
-        // Cohort-mode scratch (reused across ticks) and the warp tally.
+        // Cohort-mode scratch (reused across ticks).
         let mut cohort_routes: Vec<(ContainerId, u64)> = Vec::new();
-        let mut warp_ticks = 0u64;
 
         // --- Snapshot / resume ------------------------------------------------
         let cfg_digest = config_digest(config);
@@ -792,7 +785,6 @@ impl SimulationDriver {
             deaths_total = r.get_u64()?;
             respawns_total = r.get_u64()?;
             recovery_failures_total = r.get_u64()?;
-            warp_ticks = r.get_u64()?;
             // Graph-tracker state (presence is pinned by the config
             // digest, but the tag is still validated).
             match (r.get_u8()?, graph_tracker.as_mut()) {
@@ -837,25 +829,12 @@ impl SimulationDriver {
                     match event {
                         Event::Arrival(idx) => {
                             let service = &config.services[idx];
-                            // Overload shedding: at or above the in-flight
-                            // watermark the root is dropped unissued (counted
-                            // as shed, not failed) so queued work can drain.
-                            // The watermark reads serial-phase cluster state,
-                            // so the decision is identical at any worker
-                            // count; the skipped demand draw is deterministic
-                            // per config for the same reason.
-                            let shed = match graph_tracker.as_mut() {
-                                Some(t) if t.sheds() => {
-                                    let in_flight = cluster.service_in_flight(service.id);
-                                    if in_flight >= t.shed_watermark() {
-                                        t.record_shed(idx, 1, in_flight, event_time, trace, traced);
-                                        true
-                                    } else {
-                                        false
-                                    }
-                                }
-                                _ => false,
-                            };
+                            // Overload shedding drops the root unissued; the
+                            // skipped demand draw is deterministic per config
+                            // because the shed decision is.
+                            let shed = graph_tracker.as_mut().is_some_and(|t| {
+                                t.shed_if_overloaded(idx, 1, &cluster, event_time, trace, traced)
+                            });
                             if !shed {
                                 requests.record_issued();
                                 let outcomes =
@@ -1068,17 +1047,11 @@ impl SimulationDriver {
                         if n == 0 {
                             continue;
                         }
-                        // Overload shedding (see the per-request arm): the
-                        // whole tick's cohort is dropped unissued when the
-                        // entry point is at or above its in-flight watermark.
-                        if let Some(t) = graph_tracker.as_mut() {
-                            if t.sheds() {
-                                let in_flight = cluster.service_in_flight(service.id);
-                                if in_flight >= t.shed_watermark() {
-                                    t.record_shed(idx, n, in_flight, now, trace, traced);
-                                    continue;
-                                }
-                            }
+                        // Overload shedding drops the whole tick's cohort.
+                        if graph_tracker.as_mut().is_some_and(|t| {
+                            t.shed_if_overloaded(idx, n, &cluster, now, trace, traced)
+                        }) {
+                            continue;
                         }
                         requests.record_issued_n(n);
                         let outcomes = per_service.get_mut(&service.id).expect("known service");
@@ -1200,8 +1173,6 @@ impl SimulationDriver {
                 // 2. Advance the resource model (reusing one report buffer
                 // across ticks keeps the hot loop allocation-free).
                 cluster.advance_into(now, dt, &mut tick_report);
-                let had_outcomes =
-                    !tick_report.completed.is_empty() || !tick_report.failed.is_empty();
                 for done in tick_report.completed.drain(..) {
                     requests.record_completed_n(done.response_time.as_secs(), done.count);
                     if let Some(out) = per_service.get_mut(&done.service) {
@@ -1237,78 +1208,12 @@ impl SimulationDriver {
                     }
                 }
 
-                // 4. Time warp: when this tick ended with nothing in flight
-                // and nothing due before the next event boundary, advance the
-                // idle stretch in closed form and tell the engine to skip it.
-                // The boundary is the earliest of the next queued event (a
-                // Scale event is always queued), the next fault or recovery,
-                // and the horizon; in cohort mode the span is additionally
-                // shrunk until the load patterns are provably silent over it.
-                if config.time_warp
-                    && !had_outcomes
-                    && cluster.total_in_flight() == 0
-                    && graph_tracker.as_ref().is_none_or(GraphTracker::is_idle)
-                {
-                    let end = now + dt;
-                    let mut boundary = events.peek_time().unwrap_or(horizon).min(horizon);
-                    if let Some(due) = injector.next_due_time() {
-                        boundary = boundary.min(due);
-                    }
-                    if boundary > end {
-                        let dt_us = dt.as_micros().max(1);
-                        // Number of tick starts in [end, boundary): ticks
-                        // starting at or past the boundary must run normally.
-                        let mut k = (boundary - end).as_micros().div_ceil(dt_us);
-                        if config.cohort_arrivals {
-                            while k > 0 {
-                                let span_end = end + dt * k;
-                                let quiet = config
-                                    .services
-                                    .iter()
-                                    .all(|s| s.load.max_rate_in(end, span_end) == 0.0);
-                                if quiet {
-                                    break;
-                                }
-                                k /= 2;
-                            }
-                        }
-                        let warped = cluster.advance_warp(end, dt, k);
-                        if warped > 0 {
-                            warp_ticks += warped;
-                            if track_availability {
-                                // Liveness is constant across the warped span
-                                // (advance_warp clamps at startup
-                                // boundaries), so one roll call covers it.
-                                cluster.ready_replicas_into(end, &mut ready_counts);
-                                let span_secs = dt.as_secs() * warped as f64;
-                                for (service, tracker) in availability.iter_mut() {
-                                    let up = ready_counts
-                                        .get(service.as_usize())
-                                        .is_some_and(|&n| n > 0);
-                                    tracker.record_tick(span_secs, up);
-                                }
-                            }
-                            if traced {
-                                trace.emit(
-                                    end,
-                                    EventKind::TimeWarp {
-                                        ticks: warped,
-                                        span_us: dt.as_micros() * warped,
-                                    },
-                                );
-                            }
-                            return TickOutcome::SkipAhead(warped);
-                        }
-                    }
-                }
                 TickOutcome::Continue
             })?;
 
-            // Snapshot at the tick boundary the body just crossed. `>=`
-            // plus the recompute below lets a time-warp jump that
-            // overshot a boundary snapshot once at its landing tick.
+            // Snapshot at the tick boundary the body just crossed.
             if let Some(policy) = &snapshot_policy {
-                if engine.ticks_run() >= next_snapshot_tick && !engine.finished() {
+                if engine.ticks_run() == next_snapshot_tick && !engine.finished() {
                     let tick = engine.ticks_run();
                     let boundary = engine.now();
                     // The Snapshot event is emitted *before* the state is
@@ -1354,14 +1259,13 @@ impl SimulationDriver {
                             deaths_total,
                             respawns_total,
                             recovery_failures_total,
-                            warp_ticks,
                             graph: graph_tracker.as_ref(),
                         },
                     );
                     std::fs::create_dir_all(&policy.dir).map_err(SnapshotError::from)?;
                     std::fs::write(policy.file_for(tick), writer.finish())
                         .map_err(SnapshotError::from)?;
-                    next_snapshot_tick = (tick / policy.every_ticks + 1) * policy.every_ticks;
+                    next_snapshot_tick += policy.every_ticks;
                     if policy.halt_after_first {
                         halted = true;
                     }
@@ -1420,7 +1324,6 @@ impl SimulationDriver {
                         deaths_total,
                         respawns_total,
                         recovery_failures_total,
-                        warp_ticks,
                         graph: graph_tracker.as_ref(),
                     },
                 )
@@ -1492,7 +1395,6 @@ impl SimulationDriver {
                     "controlplane.stale_vetoes",
                     control_plane_stats.stale_vetoes,
                 ),
-                ("timewarp.ticks_skipped", warp_ticks),
             ];
             if let Some(tracker) = graph_tracker.as_ref() {
                 let stats = tracker.entry_stats();
@@ -1549,7 +1451,7 @@ impl SimulationDriver {
                 .collect(),
             faults: injector.log(),
             control_plane: control_plane_stats,
-            warp_ticks,
+            warp_ticks: 0,
             entry_points: graph_tracker
                 .map(GraphTracker::into_entry_stats)
                 .unwrap_or_default(),
@@ -1594,7 +1496,6 @@ impl SimulationDriver {
             }
             merged.faults += run.faults;
             merged.control_plane += run.control_plane;
-            merged.warp_ticks += run.warp_ticks;
             // Entry points come out in the same (ascending service)
             // order for every seed of one config.
             for (into, from) in merged.entry_points.iter_mut().zip(&run.entry_points) {
@@ -1620,7 +1521,7 @@ impl SimulationDriver {
 /// workers than the run that wrote the file.
 fn config_digest(config: &ScenarioConfig) -> u64 {
     let repr = format!(
-        "{}|{}|{:?}|{:?}|{:?}|{:?}|{:?}|{}|{:?}|{:?}|{:?}|{:?}|{:?}|{:?}|{:?}|{:?}|{:?}|{}|{}|{:?}|{:?}",
+        "{}|{}|{:?}|{:?}|{:?}|{:?}|{:?}|{}|{:?}|{:?}|{:?}|{:?}|{:?}|{:?}|{:?}|{:?}|{:?}|{}|{:?}|{:?}",
         config.name,
         config.seed,
         config.duration,
@@ -1639,7 +1540,6 @@ fn config_digest(config: &ScenarioConfig) -> u64 {
         config.recovery,
         config.control_plane,
         config.cohort_arrivals,
-        config.time_warp,
         config.graph,
         config.resilience,
     );
@@ -1673,7 +1573,6 @@ struct DriverState<'a> {
     deaths_total: u64,
     respawns_total: u64,
     recovery_failures_total: u64,
-    warp_ticks: u64,
     graph: Option<&'a GraphTracker>,
 }
 
@@ -1752,7 +1651,6 @@ fn serialize_state(cfg_digest: u64, s: &DriverState<'_>) -> SnapWriter {
     w.put_u64(s.deaths_total);
     w.put_u64(s.respawns_total);
     w.put_u64(s.recovery_failures_total);
-    w.put_u64(s.warp_ticks);
     match s.graph {
         None => w.put_u8(0),
         Some(tracker) => {
@@ -1929,7 +1827,6 @@ impl ScenarioBuilder {
                 // prove it; explicit .parallelism() still overrides.
                 parallelism: parallelism_from_env(),
                 cohort_arrivals: false,
-                time_warp: false,
                 graph: None,
                 resilience: ResilienceConfig::disabled(),
                 snapshot: None,
@@ -2068,13 +1965,6 @@ impl ScenarioBuilder {
     /// [`ScenarioConfig::cohort_arrivals`].
     pub fn cohort_arrivals(mut self, on: bool) -> Self {
         self.config.cohort_arrivals = on;
-        self
-    }
-
-    /// Enables closed-form skipping of provably idle tick stretches. See
-    /// [`ScenarioConfig::time_warp`].
-    pub fn time_warp(mut self, on: bool) -> Self {
-        self.config.time_warp = on;
         self
     }
 
@@ -2670,99 +2560,5 @@ mod tests {
             digest(&parallel),
             "cohort runs must be bit-identical across worker counts"
         );
-    }
-
-    #[test]
-    fn time_warp_skips_idle_stretches_without_changing_outcomes() {
-        // A short burst then silence: most of the run is provably idle.
-        let build = |warp: bool| {
-            ScenarioBuilder::new("warp")
-                .nodes(2)
-                .services(
-                    1,
-                    ServiceProfile::CpuBound,
-                    LoadPattern::Burst {
-                        base: 0.0,
-                        peak: 30.0,
-                        period_secs: 600.0,
-                        duty: 0.05,
-                    },
-                )
-                .duration_secs(300.0)
-                .algorithm(AlgorithmKind::None)
-                .seed(3)
-                .cohort_arrivals(true)
-                .time_warp(warp)
-                .build()
-        };
-        let plain = SimulationDriver::run(&build(false)).unwrap();
-        let warped = SimulationDriver::run(&build(true)).unwrap();
-        assert_eq!(plain.warp_ticks, 0);
-        assert!(warped.warp_ticks > 100, "warped {}", warped.warp_ticks);
-        assert_eq!(plain.requests.issued, warped.requests.issued);
-        assert_eq!(plain.requests.completed, warped.requests.completed);
-        assert_eq!(plain.requests.failures, warped.requests.failures);
-        assert_eq!(
-            plain.requests.mean_response_secs().to_bits(),
-            warped.requests.mean_response_secs().to_bits(),
-            "warped runs must complete the same members at the same times"
-        );
-    }
-
-    #[test]
-    fn time_warp_is_safe_under_events_and_faults() {
-        use hyscale_cluster::FaultKind;
-        let build = |warp: bool| {
-            ScenarioBuilder::new("warp-chaos")
-                .nodes(3)
-                .services(
-                    1,
-                    ServiceProfile::CpuBound,
-                    LoadPattern::Burst {
-                        base: 0.0,
-                        peak: 20.0,
-                        period_secs: 120.0,
-                        duty: 0.1,
-                    },
-                )
-                .duration_secs(240.0)
-                .algorithm(AlgorithmKind::HyScaleCpu)
-                .seed(13)
-                .faults(FaultPlan::new().with(
-                    90.0,
-                    FaultKind::NodeCrash {
-                        node: 0,
-                        down_secs: 30.0,
-                    },
-                ))
-                .cohort_arrivals(true)
-                .time_warp(warp)
-                .build()
-        };
-        let plain = SimulationDriver::run(&build(false)).unwrap();
-        let warped = SimulationDriver::run(&build(true)).unwrap();
-        // Faults and arrivals land identically: the warp never jumps a
-        // fault boundary, and skipped ticks draw nothing (zero-rate
-        // Poisson draws consume no randomness). Completions are compared
-        // loosely only because scaling decisions read closed-form usage
-        // state that is not bitwise-identical to ticked decay.
-        assert_eq!(plain.faults.node_crashes, warped.faults.node_crashes);
-        assert_eq!(plain.faults.reboots, warped.faults.reboots);
-        assert_eq!(plain.requests.issued, warped.requests.issued);
-        assert!(warped.requests.completed > 0);
-        assert!(warped.warp_ticks > 0, "chaos run never warped");
-        // Availability observed the full horizon either way.
-        for (plain_a, warp_a) in plain
-            .availability
-            .values()
-            .zip(warped.availability.values())
-        {
-            assert!(
-                (plain_a.observed_secs - warp_a.observed_secs).abs() < 1e-6,
-                "warp lost wall-clock: {} vs {}",
-                plain_a.observed_secs,
-                warp_a.observed_secs
-            );
-        }
     }
 }

@@ -31,7 +31,7 @@
 
 use std::collections::BTreeMap;
 
-use hyscale_cluster::{Cohort, CompletedRequest, FailedRequest, FailureKind, ServiceId};
+use hyscale_cluster::{Cluster, Cohort, CompletedRequest, FailedRequest, FailureKind, ServiceId};
 use hyscale_metrics::Summary;
 use hyscale_sim::{SimDuration, SimRng, SimTime, SnapReader, SnapWriter, SnapshotError};
 use hyscale_trace::{EventKind, TraceSink};
@@ -267,20 +267,36 @@ impl GraphTracker {
         self.entry_slot.get(idx).is_some_and(Option::is_some)
     }
 
-    /// Whether overload shedding is armed (resilience on, watermark set).
-    pub fn sheds(&self) -> bool {
-        self.resilience.enabled && self.resilience.shed_watermark > 0
-    }
-
-    /// The in-flight member watermark at or above which new roots shed.
-    pub fn shed_watermark(&self) -> u64 {
-        self.resilience.shed_watermark
+    /// Overload shedding for a root of `members` arrivals on the entry
+    /// point at list position `idx`. When shedding is armed (resilience
+    /// on, watermark set) and the service already holds at least the
+    /// watermark of in-flight members, the root is dropped unissued —
+    /// counted as shed, not failed — so queued work can drain. Returns
+    /// whether it was shed. The watermark reads serial-phase cluster
+    /// state, so the decision is identical at any worker count.
+    pub fn shed_if_overloaded(
+        &mut self,
+        idx: usize,
+        members: u64,
+        cluster: &Cluster,
+        now: SimTime,
+        trace: &mut TraceSink,
+        traced: bool,
+    ) -> bool {
+        if !self.resilience.enabled || self.resilience.shed_watermark == 0 {
+            return false;
+        }
+        let in_flight = cluster.service_in_flight(ServiceId::new(self.service_ids[idx]));
+        if in_flight < self.resilience.shed_watermark {
+            return false;
+        }
+        self.record_shed(idx, members, in_flight, now, trace, traced);
+        true
     }
 
     /// Records one shed root of `members` arrivals on the entry point at
-    /// list position `idx` (dropped unissued — counted as shed, not
-    /// failed, while in-flight work drains).
-    pub fn record_shed(
+    /// list position `idx`.
+    fn record_shed(
         &mut self,
         idx: usize,
         members: u64,
@@ -696,10 +712,9 @@ impl GraphTracker {
         !self.pending.is_empty()
     }
 
-    /// Whether the tracker holds no in-flight or queued work at all —
-    /// the time-warp fast path must not jump over queued child hops (or
-    /// retries still in backoff).
-    pub fn is_idle(&self) -> bool {
+    /// Whether the tracker holds no in-flight or queued work at all.
+    #[cfg(test)]
+    fn is_idle(&self) -> bool {
         self.pending.is_empty() && self.hops.is_empty() && self.roots.is_empty()
     }
 

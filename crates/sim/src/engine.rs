@@ -16,12 +16,6 @@ pub enum TickOutcome {
     /// Keep ticking until the horizon.
     #[default]
     Continue,
-    /// Skip the next `n` whole ticks: the body has already advanced the
-    /// model across them in closed form (the time-warp fast path), so
-    /// the engine moves the clock without invoking the body for them.
-    /// The engine clamps the skip so it never crosses the horizon; the
-    /// final (possibly truncated) tick always runs normally.
-    SkipAhead(u64),
     /// Stop the simulation early (e.g. all work has drained).
     Stop,
 }
@@ -137,14 +131,7 @@ impl TickEngine {
         let start = self.now;
         self.now += dt;
         self.ticks_run += 1;
-        let outcome = body(start, dt);
-        if let TickOutcome::SkipAhead(n) = outcome {
-            let remaining = self.horizon - self.now;
-            let skip = n.min(remaining.as_micros() / self.tick.as_micros());
-            self.now += self.tick * skip;
-            self.ticks_run += skip;
-        }
-        Ok(outcome)
+        Ok(body(start, dt))
     }
 
     /// Runs ticks until the horizon or until the body returns
@@ -155,7 +142,7 @@ impl TickEngine {
     {
         while !self.finished() {
             match self.step(&mut body) {
-                Ok(TickOutcome::Continue) | Ok(TickOutcome::SkipAhead(_)) => {}
+                Ok(TickOutcome::Continue) => {}
                 Ok(TickOutcome::Stop) | Err(_) => break,
             }
         }
@@ -224,57 +211,6 @@ mod tests {
             e.step(|_, _| TickOutcome::Continue),
             Err(SimError::PastHorizon)
         );
-    }
-
-    #[test]
-    fn skip_ahead_advances_clock_and_tick_count() {
-        let mut e =
-            TickEngine::new(SimDuration::from_millis(100), SimTime::from_secs(1.0)).unwrap();
-        let mut starts = Vec::new();
-        e.run(|now, _| {
-            starts.push(now.as_micros());
-            if now == SimTime::from_millis(100) {
-                TickOutcome::SkipAhead(3)
-            } else {
-                TickOutcome::Continue
-            }
-        });
-        // Ticks at 200/300/400 ms were warped over; the body resumes at 500 ms.
-        assert_eq!(
-            starts,
-            [0, 100_000, 500_000, 600_000, 700_000, 800_000, 900_000]
-        );
-        assert_eq!(e.ticks_run(), 10);
-        assert!(e.finished());
-    }
-
-    #[test]
-    fn skip_ahead_clamps_at_horizon() {
-        let mut e =
-            TickEngine::new(SimDuration::from_millis(100), SimTime::from_millis(450)).unwrap();
-        let mut starts = Vec::new();
-        e.run(|now, _| {
-            starts.push(now.as_micros());
-            TickOutcome::SkipAhead(1_000)
-        });
-        // First tick ends at 100 ms with 350 ms left: only three whole ticks
-        // fit, so the truncated final 50 ms tick still runs.
-        assert_eq!(starts, [0, 400_000]);
-        assert_eq!(e.now(), SimTime::from_millis(450));
-        assert!(e.finished());
-    }
-
-    #[test]
-    fn skip_ahead_zero_is_a_plain_continue() {
-        let mut e =
-            TickEngine::new(SimDuration::from_millis(100), SimTime::from_millis(300)).unwrap();
-        let mut n = 0;
-        e.run(|_, _| {
-            n += 1;
-            TickOutcome::SkipAhead(0)
-        });
-        assert_eq!(n, 3);
-        assert_eq!(e.ticks_run(), 3);
     }
 
     #[test]

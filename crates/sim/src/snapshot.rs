@@ -38,8 +38,9 @@ pub const SNAPSHOT_MAGIC: [u8; 4] = *b"HYSN";
 /// written as `(value, weight)` records, one per completed flow rather
 /// than one sample per member; 6 = those summaries write their moments,
 /// NaN drop count and sorted flag, then their records in stored order
-/// (which a percentile query may have sorted).
-pub const SNAPSHOT_VERSION: u32 = 6;
+/// (which a percentile query may have sorted); 7 = driver payloads drop
+/// the skipped-idle-tick tally.
+pub const SNAPSHOT_VERSION: u32 = 7;
 
 /// FNV-1a 64-bit hash of a byte slice.
 ///

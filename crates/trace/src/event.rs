@@ -343,13 +343,6 @@ pub enum EventKind {
         /// queues.
         rejected: u64,
     },
-    /// The closed-form time warp skipped a run of idle ticks in one jump.
-    TimeWarp {
-        /// Whole ticks skipped.
-        ticks: u64,
-        /// Simulated microseconds the warp covered.
-        span_us: u64,
-    },
     /// A full simulation snapshot was written at a tick boundary.
     Snapshot {
         /// Ticks executed when the snapshot was taken.
@@ -459,7 +452,6 @@ impl EventKind {
             EventKind::Breaker { .. } => "breaker",
             EventKind::SafeMode { .. } => "safe_mode",
             EventKind::CohortFlow { .. } => "cohort_flow",
-            EventKind::TimeWarp { .. } => "time_warp",
             EventKind::Snapshot { .. } => "snapshot",
             EventKind::Span { .. } => "span",
             EventKind::Retry { .. } => "retry",
@@ -594,10 +586,6 @@ mod tests {
                 count: 1_000,
                 routed: 990,
                 rejected: 10,
-            },
-            EventKind::TimeWarp {
-                ticks: 48,
-                span_us: 4_800_000,
             },
             EventKind::Snapshot {
                 tick: 120,

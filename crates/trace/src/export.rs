@@ -227,9 +227,6 @@ fn jsonl_event(out: &mut String, event: &TraceEvent) {
                 ",\"service\":{service},\"count\":{count},\"routed\":{routed},\"rejected\":{rejected}"
             );
         }
-        EventKind::TimeWarp { ticks, span_us } => {
-            let _ = write!(out, ",\"ticks\":{ticks},\"span_us\":{span_us}");
-        }
         EventKind::Snapshot { tick, now_us } => {
             let _ = write!(out, ",\"tick\":{tick},\"now_us\":{now_us}");
         }
@@ -561,16 +558,6 @@ pub fn csv(sink: &TraceSink) -> String {
                 routed.to_string(),
                 rejected.to_string(),
             ),
-            EventKind::TimeWarp { ticks, span_us } => (
-                String::new(),
-                String::new(),
-                String::new(),
-                String::new(),
-                String::new(),
-                ticks.to_string(),
-                span_us.to_string(),
-                String::new(),
-            ),
             EventKind::Snapshot { tick, now_us } => (
                 String::new(),
                 String::new(),
@@ -880,10 +867,6 @@ mod tests {
                 routed: 2_000,
                 rejected: 48,
             },
-            EventKind::TimeWarp {
-                ticks: 37,
-                span_us: 3_700_000,
-            },
             EventKind::Snapshot {
                 tick: 450,
                 now_us: 45_000_000,
@@ -938,8 +921,6 @@ mod tests {
             "\"age_ticks\":2,\"budget_ticks\":1",
             "\"ev\":\"cohort_flow\"",
             "\"count\":2048,\"routed\":2000,\"rejected\":48",
-            "\"ev\":\"time_warp\"",
-            "\"ticks\":37,\"span_us\":3700000",
             "\"ev\":\"snapshot\"",
             "\"tick\":450,\"now_us\":45000000",
             "\"ev\":\"span\"",
@@ -955,7 +936,7 @@ mod tests {
             assert!(journal.contains(needle), "missing {needle} in {journal}");
         }
         let table = csv(&sink);
-        assert_eq!(table.lines().count(), 20);
+        assert_eq!(table.lines().count(), 19);
         assert!(table.contains("root9.entry0.d1"));
         assert!(table.contains("root9.a2"));
     }

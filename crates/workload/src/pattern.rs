@@ -158,79 +158,6 @@ impl LoadPattern {
         }
     }
 
-    /// A conservative upper bound on the rate anywhere in the half-open
-    /// window `[from, to)` — never less than `rate_at(t)` for any `t` in
-    /// the window, but possibly larger. The time-warp fast path uses this
-    /// to prove a window silent (`max_rate_in == 0`) before skipping it in
-    /// closed form. Returns `0.0` for an empty or inverted window.
-    pub fn max_rate_in(&self, from: SimTime, to: SimTime) -> f64 {
-        if to <= from {
-            return 0.0;
-        }
-        let (a, b) = (from.as_secs(), to.as_secs());
-        match self {
-            LoadPattern::Constant { rate } => rate.max(0.0),
-            LoadPattern::Wave {
-                base,
-                amplitude,
-                period_secs,
-            } => {
-                let p = period_secs.max(1e-9);
-                // The wave crests (sin = 1) at p/4 + k·p. If a crest falls
-                // inside the window the bound is the peak; otherwise the
-                // sinusoid has no interior maximum there, so the supremum
-                // is approached at an endpoint.
-                let k = ((a - 0.25 * p) / p).ceil();
-                let crest = 0.25 * p + k * p;
-                if b - a >= p || (crest >= a && crest < b) {
-                    (base + amplitude).max(0.0)
-                } else {
-                    self.rate_at(from).max(self.rate_at(to))
-                }
-            }
-            LoadPattern::Burst {
-                base,
-                peak,
-                period_secs,
-                duty,
-            } => {
-                let p = period_secs.max(1e-9);
-                let duty = duty.clamp(0.0, 1.0);
-                // Burst k occupies [k·p, k·p + duty·p). A window shorter
-                // than one period overlaps at most two of them.
-                let k0 = (a / p).floor();
-                let hits_burst = duty > 0.0
-                    && (0..=((b - a) / p).ceil() as u64 + 1).any(|i| {
-                        let start = (k0 + i as f64) * p;
-                        start < b && a < start + duty * p
-                    });
-                if hits_burst {
-                    base.max(*peak).max(0.0)
-                } else {
-                    base.max(0.0)
-                }
-            }
-            LoadPattern::Trace {
-                samples,
-                interval_secs,
-            } => {
-                if samples.is_empty() {
-                    return 0.0;
-                }
-                let interval = interval_secs.max(1e-9);
-                let last = samples.len() - 1;
-                let lo = ((a / interval) as usize).min(last);
-                // Half-open window: the sample slot containing `b` itself
-                // only matters if the window extends into it, which the
-                // ceil-minus-one below over-approximates safely.
-                let hi = ((b / interval).ceil() as usize)
-                    .saturating_sub(1)
-                    .clamp(lo, last);
-                samples[lo..=hi].iter().copied().fold(0.0_f64, f64::max)
-            }
-        }
-    }
-
     /// An upper bound on the rate over all time (the thinning envelope).
     pub fn peak_rate(&self) -> f64 {
         match self {
@@ -428,71 +355,6 @@ mod tests {
         };
         assert_eq!(run(7), run(7));
         assert_ne!(run(7), run(8));
-    }
-
-    #[test]
-    fn max_rate_in_dominates_rate_at() {
-        let patterns = [
-            LoadPattern::Constant { rate: 3.0 },
-            LoadPattern::low_burst(),
-            LoadPattern::high_burst(),
-            LoadPattern::Trace {
-                samples: vec![1.0, 0.0, 7.0, 2.0],
-                interval_secs: 15.0,
-            },
-        ];
-        for p in &patterns {
-            for w in 0..200 {
-                let from = SimTime::from_secs(w as f64 * 3.7);
-                let to = SimTime::from_secs(w as f64 * 3.7 + 42.0);
-                let bound = p.max_rate_in(from, to);
-                for i in 0..100 {
-                    let t = SimTime::from_secs(from.as_secs() + 42.0 * i as f64 / 100.0);
-                    assert!(
-                        p.rate_at(t) <= bound + 1e-12,
-                        "{p:?}: rate_at({t:?}) exceeds bound {bound}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn max_rate_in_is_tight_for_quiet_windows() {
-        let p = LoadPattern::Burst {
-            base: 0.0,
-            peak: 50.0,
-            period_secs: 100.0,
-            duty: 0.25,
-        };
-        // Entirely inside the quiet part of the period.
-        assert_eq!(
-            p.max_rate_in(SimTime::from_secs(30.0), SimTime::from_secs(90.0)),
-            0.0
-        );
-        // Touching the next burst.
-        assert_eq!(
-            p.max_rate_in(SimTime::from_secs(30.0), SimTime::from_secs(101.0)),
-            50.0
-        );
-        let t = LoadPattern::Trace {
-            samples: vec![5.0, 0.0, 0.0],
-            interval_secs: 10.0,
-        };
-        assert_eq!(
-            t.max_rate_in(SimTime::from_secs(10.0), SimTime::from_secs(30.0)),
-            0.0
-        );
-        // The last (zero) sample persists forever.
-        assert_eq!(
-            t.max_rate_in(SimTime::from_secs(500.0), SimTime::from_secs(900.0)),
-            0.0
-        );
-        // Inverted/empty windows are silent.
-        assert_eq!(
-            LoadPattern::low_burst().max_rate_in(SimTime::from_secs(5.0), SimTime::from_secs(5.0)),
-            0.0
-        );
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Differential and property tests for the active-set tick engine:
 //! a cluster ticked with the lazy active-set engine must be
 //! *bit-identical* to the full-scan reference engine under arbitrary
-//! admit/remove/fault/recovery/warp churn, at every worker count — same
+//! admit/remove/fault/recovery churn, at every worker count — same
 //! per-tick reports, same snapshot bytes — and the active set itself
 //! must satisfy the park invariant (no node that needs per-tick
 //! simulation is ever parked, and every parked node is provably idle).
@@ -185,17 +185,6 @@ fn run_twin(seed: u64, workers: usize) {
         }
         churn(&mut rng, &mut enabled, &mut disabled, &mut containers, now);
 
-        if tick % 89 == 88 {
-            // Time warp: both engines must agree on how far they can
-            // jump, and the enabled engine must flush before warping.
-            let a = enabled.advance_warp(now, dt, 40);
-            let b = disabled.advance_warp(now, dt, 40);
-            assert_eq!(a, b, "tick {tick}: warp span diverged");
-            for _ in 0..a {
-                now += dt;
-            }
-        }
-
         let ra = enabled.advance(now, dt);
         let rb = disabled.advance(now, dt);
         assert_eq!(
@@ -230,8 +219,8 @@ fn active_set_engine_is_bit_identical_under_churn() {
     }
 }
 
-/// Driver-level twin: full scenario runs (scaling, recovery, faults,
-/// warp) across all four benchmark algorithms must produce identical
+/// Driver-level twin: full scenario runs (scaling, recovery, faults)
+/// across all four benchmark algorithms must produce identical
 /// reports with the active-set engine on and off.
 #[test]
 fn driver_reports_identical_with_and_without_active_set() {

@@ -26,10 +26,10 @@ fn three_tier() -> ServiceGraph {
         .with_edge(2, 3, 1)
 }
 
-fn graph_config(seed: u64, parallelism: usize, cohort_warp: bool) -> ScenarioConfig {
-    let load = if cohort_warp {
-        // Idle spans between bursts let the time-warp fast path fire —
-        // which must stay fenced while graph hops are still in flight.
+fn graph_config(seed: u64, parallelism: usize, cohort: bool) -> ScenarioConfig {
+    let load = if cohort {
+        // Idle spans between bursts: roots still open from one burst
+        // must resolve across the silence before the next.
         LoadPattern::Burst {
             base: 0.0,
             peak: 6.0,
@@ -39,8 +39,8 @@ fn graph_config(seed: u64, parallelism: usize, cohort_warp: bool) -> ScenarioCon
     } else {
         LoadPattern::Constant { rate: 3.0 }
     };
-    ScenarioBuilder::new(if cohort_warp {
-        "graph-battery-cohort-warp"
+    ScenarioBuilder::new(if cohort {
+        "graph-battery-cohort"
     } else {
         "graph-battery-events"
     })
@@ -50,8 +50,7 @@ fn graph_config(seed: u64, parallelism: usize, cohort_warp: bool) -> ScenarioCon
     .algorithm(AlgorithmKind::HyScaleCpu)
     .seed(seed)
     .parallelism(parallelism)
-    .cohort_arrivals(cohort_warp)
-    .time_warp(cohort_warp)
+    .cohort_arrivals(cohort)
     .graph(three_tier())
     .build()
 }
@@ -169,7 +168,7 @@ fn graph_journal_is_byte_identical_serial_vs_parallel() {
 }
 
 #[test]
-fn cohort_warp_graph_runs_are_deterministic_and_resolve_all_roots() {
+fn cohort_graph_runs_are_deterministic_and_resolve_all_roots() {
     let (serial, a) = journal(&graph_config(11, 1, true), 1 << 17);
     let (parallel, b) = journal(&graph_config(11, 4, true), 1 << 17);
     assert_eq!(serial, parallel);
@@ -242,12 +241,7 @@ fn graph_run_resumes_bit_identically_from_a_snapshot() {
 /// so deadline comparisons land on tick boundaries), a 20% retry
 /// budget, and an admission watermark all engage. Every engine knob is
 /// explicit so tests can toggle them independently.
-fn resilient_graph_config(
-    parallelism: usize,
-    cohort: bool,
-    warp: bool,
-    active_set: bool,
-) -> ScenarioConfig {
+fn resilient_graph_config(parallelism: usize, cohort: bool, active_set: bool) -> ScenarioConfig {
     let load = if cohort {
         LoadPattern::Burst {
             base: 0.0,
@@ -267,7 +261,6 @@ fn resilient_graph_config(
         .parallelism(parallelism)
         .tick_millis(100)
         .cohort_arrivals(cohort)
-        .time_warp(warp)
         .cluster_config(ClusterConfig {
             active_set,
             ..ClusterConfig::default()
@@ -337,7 +330,7 @@ fn resilience_free_journal_carries_no_resilience_counters() {
     );
     // Positive control: an enabled layer does journal those counters
     // (proving the needles above test the real names).
-    let (rich, report) = journal(&resilient_graph_config(1, false, false, true), 1 << 17);
+    let (rich, report) = journal(&resilient_graph_config(1, false, true), 1 << 17);
     assert!(report.resilience.retries > 0, "{:?}", report.resilience);
     for needle in [
         "retry.attempts",
@@ -353,17 +346,14 @@ fn resilience_free_journal_carries_no_resilience_counters() {
 fn deadline_ticks_are_identical_across_every_engine() {
     // The 2 s root deadline is exactly 20 ticks, so deadline and
     // backoff comparisons land on tick boundaries — where a serial,
-    // parallel, active-set, or time-warp engine disagreeing by one
-    // tick would show up immediately.
-    let base = SimulationDriver::run(&resilient_graph_config(1, false, false, true))
-        .expect("scenario runs");
+    // parallel, or active-set engine disagreeing by one tick would show
+    // up immediately.
+    let base =
+        SimulationDriver::run(&resilient_graph_config(1, false, true)).expect("scenario runs");
     assert!(base.resilience.retries > 0, "{:?}", base.resilience);
     for (label, config) in [
-        ("parallel(4)", resilient_graph_config(4, false, false, true)),
-        (
-            "active-set off",
-            resilient_graph_config(2, false, false, false),
-        ),
+        ("parallel(4)", resilient_graph_config(4, false, true)),
+        ("active-set off", resilient_graph_config(2, false, false)),
     ] {
         let report = SimulationDriver::run(&config).expect("scenario runs");
         assert_eq!(
@@ -372,33 +362,17 @@ fn deadline_ticks_are_identical_across_every_engine() {
             "{label} diverged from the serial baseline"
         );
     }
-    // Cohort mode, warp on: still bit-identical at any worker count.
-    let cohort = SimulationDriver::run(&resilient_graph_config(1, true, false, true))
-        .expect("scenario runs");
+    // Cohort mode: still bit-identical at any worker count.
+    let cohort =
+        SimulationDriver::run(&resilient_graph_config(1, true, true)).expect("scenario runs");
     assert!(cohort.resilience.retries > 0, "{:?}", cohort.resilience);
-    let warped =
-        SimulationDriver::run(&resilient_graph_config(1, true, true, true)).expect("scenario runs");
-    let warped_par =
-        SimulationDriver::run(&resilient_graph_config(4, true, true, true)).expect("scenario runs");
+    let cohort_par =
+        SimulationDriver::run(&resilient_graph_config(4, true, true)).expect("scenario runs");
     assert_eq!(
-        format!("{warped:?}"),
-        format!("{warped_par:?}"),
-        "warped run diverged between worker counts"
+        format!("{cohort:?}"),
+        format!("{cohort_par:?}"),
+        "cohort run diverged between worker counts"
     );
-    // Warp on vs off: the fast path re-associates float sums (response
-    // samples, availability seconds), so full bit-equality is not the
-    // invariant — but every discrete outcome is: the warp must not jump
-    // a retry wake-up, a deadline boundary, or a budget decision.
-    assert_eq!(cohort.requests.issued, warped.requests.issued);
-    assert_eq!(cohort.requests.completed, warped.requests.completed);
-    assert_eq!(cohort.requests.failures, warped.requests.failures);
-    assert_eq!(cohort.resilience, warped.resilience);
-    for (a, b) in cohort.entry_points.iter().zip(&warped.entry_points) {
-        assert_eq!(a.roots_started, b.roots_started);
-        assert_eq!(a.roots_completed, b.roots_completed);
-        assert_eq!(a.roots_failed, b.roots_failed);
-        assert_eq!(a.members_completed, b.members_completed);
-    }
 }
 
 #[test]

@@ -33,28 +33,27 @@ fn scratch_dir(tag: &str) -> PathBuf {
     dir
 }
 
-/// The lowest-tick `.snap` file in `dir` (time-warp runs can overshoot
-/// the nominal boundary, so the exact tick is not known a priori).
-fn first_snapshot(dir: &Path) -> PathBuf {
-    let mut snaps: Vec<PathBuf> = fs::read_dir(dir)
-        .expect("snapshot dir")
-        .filter_map(|e| e.ok().map(|e| e.path()))
-        .filter(|p| p.extension().is_some_and(|x| x == "snap"))
-        .collect();
-    snaps.sort();
-    snaps
-        .into_iter()
-        .next()
-        .expect("at least one snapshot file")
+/// The file of the first snapshot `config` writes. Every tick advances
+/// the clock by exactly one, so it lands exactly on the first
+/// `every_ticks` boundary.
+fn first_snapshot(config: &ScenarioConfig) -> PathBuf {
+    let policy = config.snapshot.as_ref().expect("a snapshotting config");
+    let path = policy.file_for(policy.every_ticks);
+    assert!(
+        path.is_file(),
+        "no snapshot on the first boundary: {}",
+        path.display()
+    );
+    path
 }
 
 /// A compact chaos scenario: faults, recovery, breaker trips, and a hot
 /// degraded control plane all fire inside 60 simulated seconds, so the
 /// snapshot at tick 250 lands mid-churn with live fault and retry state.
-fn battery_config(kind: AlgorithmKind, cohort_warp: bool, parallelism: usize) -> ScenarioConfig {
-    let load = if cohort_warp {
+fn battery_config(kind: AlgorithmKind, cohort: bool, parallelism: usize) -> ScenarioConfig {
+    let load = if cohort {
         // Zero base load leaves genuinely idle spans between bursts, so
-        // the time-warp fast path actually fires in this mode.
+        // some snapshots and resumes land in the silence.
         LoadPattern::Burst {
             base: 0.0,
             peak: 8.0,
@@ -69,8 +68,8 @@ fn battery_config(kind: AlgorithmKind, cohort_warp: bool, parallelism: usize) ->
     cp.delay_prob = 0.3;
     cp.duplicate_prob = 0.1;
     cp.actuation_failure_prob = 0.4;
-    ScenarioBuilder::new(if cohort_warp {
-        "snap-battery-cohort-warp"
+    ScenarioBuilder::new(if cohort {
+        "snap-battery-cohort"
     } else {
         "snap-battery-events"
     })
@@ -80,8 +79,7 @@ fn battery_config(kind: AlgorithmKind, cohort_warp: bool, parallelism: usize) ->
     .algorithm(kind)
     .seed(4242)
     .parallelism(parallelism)
-    .cohort_arrivals(cohort_warp)
-    .time_warp(cohort_warp)
+    .cohort_arrivals(cohort)
     .faults(
         FaultPlan::new()
             .with(
@@ -139,18 +137,18 @@ fn event_lines(journal: &str) -> &str {
 /// histories are indistinguishable.
 fn assert_resume_equivalence(
     kind: AlgorithmKind,
-    cohort_warp: bool,
+    cohort: bool,
     cut_workers: usize,
     resume_workers: usize,
 ) {
-    let mode = if cohort_warp { "cw" } else { "ev" };
+    let mode = if cohort { "co" } else { "ev" };
     let tag = format!("{}-{mode}-w{cut_workers}x{resume_workers}", kind.label());
     let dir_full = scratch_dir(&format!("{tag}-full"));
     let dir_cut = scratch_dir(&format!("{tag}-cut"));
 
     // Uninterrupted run, snapshotting along the way (snapshotting itself
     // must not perturb the simulation).
-    let mut config = battery_config(kind, cohort_warp, cut_workers);
+    let mut config = battery_config(kind, cohort, cut_workers);
     config.snapshot = Some(SnapshotPolicy {
         every_ticks: 250,
         dir: dir_full.clone(),
@@ -159,7 +157,7 @@ fn assert_resume_equivalence(
     let (journal_full, report_full) = journal(&config, 16_384);
 
     // The same run, killed right after the first snapshot is written...
-    let mut config = battery_config(kind, cohort_warp, cut_workers);
+    let mut config = battery_config(kind, cohort, cut_workers);
     config.snapshot = Some(SnapshotPolicy {
         every_ticks: 250,
         dir: dir_cut.clone(),
@@ -170,11 +168,11 @@ fn assert_resume_equivalence(
         partial.state_digest.is_none(),
         "{tag}: a halted run must not claim a final digest"
     );
-    let snap = first_snapshot(&dir_cut);
+    let snap = first_snapshot(&config);
 
     // ...then resumed from the file it left behind, possibly at a
     // different worker count.
-    let mut config = battery_config(kind, cohort_warp, resume_workers);
+    let mut config = battery_config(kind, cohort, resume_workers);
     config.snapshot = Some(SnapshotPolicy {
         every_ticks: 250,
         dir: dir_cut.clone(),
@@ -215,9 +213,9 @@ fn assert_resume_equivalence(
     let _ = fs::remove_dir_all(&dir_cut);
 }
 
-fn battery(kind: AlgorithmKind, cohort_warp: bool) {
+fn battery(kind: AlgorithmKind, cohort: bool) {
     for workers in [1usize, 2, 4] {
-        assert_resume_equivalence(kind, cohort_warp, workers, workers);
+        assert_resume_equivalence(kind, cohort, workers, workers);
     }
 }
 
@@ -242,22 +240,22 @@ fn resume_equivalence_hyscale_cpu_mem_event_mode() {
 }
 
 #[test]
-fn resume_equivalence_kubernetes_cohort_warp() {
+fn resume_equivalence_kubernetes_cohort() {
     battery(AlgorithmKind::Kubernetes, true);
 }
 
 #[test]
-fn resume_equivalence_network_cohort_warp() {
+fn resume_equivalence_network_cohort() {
     battery(AlgorithmKind::Network, true);
 }
 
 #[test]
-fn resume_equivalence_hyscale_cpu_cohort_warp() {
+fn resume_equivalence_hyscale_cpu_cohort() {
     battery(AlgorithmKind::HyScaleCpu, true);
 }
 
 #[test]
-fn resume_equivalence_hyscale_cpu_mem_cohort_warp() {
+fn resume_equivalence_hyscale_cpu_mem_cohort() {
     battery(AlgorithmKind::HyScaleCpuMem, true);
 }
 
@@ -329,7 +327,7 @@ fn resume_equivalence_with_live_resilience_state() {
         halt_after_first: true,
     });
     let (journal_cut, _) = journal(&config, 16_384);
-    let snap = first_snapshot(&dir_cut);
+    let snap = first_snapshot(&config);
 
     // Resume at a different worker count, mid-backoff.
     let mut config = resilience_battery_config(4);
@@ -413,8 +411,11 @@ fn cohort_checkpoint(rate: f64, tag: &str) -> (u64, u64) {
         );
         builder = builder.service(spec);
     }
-    let report = builder.run().expect("scenario runs");
-    let bytes = fs::metadata(first_snapshot(&dir)).expect("snapshot").len();
+    let config = builder.build();
+    let report = SimulationDriver::run(&config).expect("scenario runs");
+    let bytes = fs::metadata(first_snapshot(&config))
+        .expect("snapshot")
+        .len();
     let _ = fs::remove_dir_all(&dir);
     (bytes, report.requests.completed)
 }
@@ -676,7 +677,7 @@ fn make_snapshot(dir: &Path) -> (PathBuf, Vec<u8>) {
     let mut config = tiny_config(dir, 7);
     config.snapshot.as_mut().unwrap().halt_after_first = true;
     SimulationDriver::run(&config).expect("snapshot-producing run");
-    let path = first_snapshot(dir);
+    let path = first_snapshot(&config);
     let bytes = fs::read(&path).expect("snapshot bytes");
     (path, bytes)
 }
