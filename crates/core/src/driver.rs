@@ -9,7 +9,7 @@
 //! five runs is [`SimulationDriver::run_averaged`] over five seeds.
 
 use std::collections::{BTreeMap, HashMap};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use hyscale_cluster::{
     Cluster, ClusterConfig, Cohort, ContainerId, ContainerSpec, FailureKind, FaultInjector,
@@ -21,11 +21,12 @@ use hyscale_metrics::{
 };
 use hyscale_sim::{
     fnv1a, EventQueue, SimDuration, SimRng, SimTime, SnapReader, SnapWriter, SnapshotError,
-    TickEngine, TickOutcome,
+    TickEngine,
 };
 use hyscale_trace::{EventKind, TraceSink};
 use hyscale_workload::{ArrivalProcess, LoadPattern, ServiceGraph, ServiceProfile, ServiceSpec};
 
+use crate::actions::ScalingAction;
 use crate::algorithms::{AlgorithmKind, HpaConfig, HyScaleConfig};
 use crate::balancer::LoadBalancer;
 use crate::controlplane::{ControlPlane, ControlPlaneConfig, ControlPlaneStats};
@@ -382,94 +383,6 @@ impl RunReport {
     }
 }
 
-/// Tallies one aborted/failed request exactly once, into both the overall
-/// and the per-service outcomes, according to the paper's taxonomy:
-/// scale-in and decommission aborts are **removal** failures, while
-/// timeouts, queue aborts, and infrastructure deaths are tallied
-/// separately and rolled up as **connection** failures in reports. Every
-/// failure-recording site in the driver funnels through here, so a
-/// request can never be double-counted or dropped — and, in graph mode,
-/// so every lost hop reliably fails its root (or, with the resilience
-/// layer enabled and a retryable failure, re-queues as a retry hop).
-/// The failed attempt is tallied either way: retries are extra issued
-/// load, so per-attempt accounting keeps `completed + failures ≤
-/// issued` intact.
-#[allow(clippy::too_many_arguments)]
-fn record_failure(
-    requests: &mut RequestOutcomes,
-    per_service: &mut BTreeMap<ServiceId, RequestOutcomes>,
-    graph: Option<&mut GraphTracker>,
-    failure: &FailedRequest,
-    rng: &mut SimRng,
-    trace: &mut TraceSink,
-    traced: bool,
-) {
-    if let Some(tracker) = graph {
-        tracker.on_failed(failure, rng, trace, traced);
-    }
-    // Per-request paths always carry count 1; aborted cohorts arrive as
-    // one aggregate record carrying their member count.
-    record_failure_tally(requests, failure.kind, failure.count);
-    if let Some(out) = per_service.get_mut(&failure.service) {
-        record_failure_tally(out, failure.kind, failure.count);
-    }
-}
-
-/// Hands one arrival's routed shares to the cluster — the single
-/// admission path behind per-request arrivals, cohort arrivals and graph
-/// child hops. `shares` come from [`LoadBalancer::route`] (one request,
-/// one share) or [`LoadBalancer::route_cohort`] (a batch); `unrouted`
-/// counts members the balancer found no replica for. Each share is
-/// admitted as a copy of `flow` with the share's member count. Admitted
-/// shares feed the replica's circuit breaker as successes and, in graph
-/// mode, register as hops of `graph`'s root; refused shares feed it as
-/// failures. Refused and unrouted members are tallied as queue aborts
-/// and, in graph mode, handed to [`GraphTracker::on_unadmitted`] (retry
-/// or fail the root). Returns `(admitted, rejected)` members — the
-/// balancer tallies' one rule: a member counts as routed only once a
-/// replica admitted it.
-#[allow(clippy::too_many_arguments)]
-fn admit_shares(
-    cluster: &mut Cluster,
-    balancer: &mut LoadBalancer,
-    flow: &Cohort,
-    shares: &[(ContainerId, u64)],
-    unrouted: u64,
-    mut graph: Option<(&mut GraphTracker, &PendingHop)>,
-    requests: &mut RequestOutcomes,
-    outcomes: &mut RequestOutcomes,
-    rng: &mut SimRng,
-    now: SimTime,
-    trace: &mut TraceSink,
-    traced: bool,
-) -> (u64, u64) {
-    let mut admitted = 0;
-    let mut rejected = unrouted;
-    for &(target, count) in shares {
-        match cluster.admit_cohort(target, Cohort { count, ..*flow }, now) {
-            Ok(first) => {
-                admitted += count;
-                if let Some((tracker, hop)) = graph.as_mut() {
-                    tracker.register_hop(hop.root, first.index(), hop);
-                }
-                balancer.record_success(target, now, trace);
-            }
-            Err(_) => {
-                rejected += count;
-                balancer.record_failure(target, now, trace);
-            }
-        }
-    }
-    if rejected > 0 {
-        requests.record_queue_abort_failures(rejected);
-        outcomes.record_queue_abort_failures(rejected);
-        if let Some((tracker, hop)) = graph {
-            tracker.on_unadmitted(hop, rejected, now, rng, trace, traced);
-        }
-    }
-    (admitted, rejected)
-}
-
 /// Bumps one outcome record's failure tally by kind.
 fn record_failure_tally(out: &mut RequestOutcomes, kind: FailureKind, count: u64) {
     match kind {
@@ -523,943 +436,16 @@ impl SimulationDriver {
         config: &ScenarioConfig,
         trace: &mut TraceSink,
     ) -> Result<RunReport, CoreError> {
-        config.validate()?;
-        let mut master_rng = SimRng::seed_from(config.seed);
-        let traced = trace.is_enabled();
-        // A resumed run continues the interrupted run's journal: it
-        // neither re-announces the run nor restarts sequence numbers.
-        if traced && config.resume.is_none() {
-            trace.emit(
-                SimTime::ZERO,
-                EventKind::RunStart {
-                    seed: config.seed,
-                    algorithm: config.algorithm.label(),
-                },
-            );
-        }
-
-        // --- Cluster setup -------------------------------------------------
-        let mut cluster = Cluster::new(config.cluster);
-        cluster.set_parallelism(config.parallelism);
-        let node_ids: Vec<NodeId> = config
-            .nodes
-            .iter()
-            .map(|spec| cluster.add_node(*spec))
-            .collect();
-
-        for (node_idx, spec) in &config.antagonists {
-            let spec = spec.clone().with_startup_secs(0.0);
-            cluster.start_container(node_ids[*node_idx], spec, SimTime::ZERO)?;
-        }
-
-        // Initial replicas, placed round-robin across nodes. They are
-        // pre-warmed (no startup delay): the paper's services are already
-        // running when an experiment's measurement window opens.
-        let mut placement_cursor = 0usize;
-        for service in &config.services {
-            for _ in 0..config.initial_replicas {
-                let node = node_ids[placement_cursor % node_ids.len()];
-                placement_cursor += 1;
-                let spec = service.container.clone().with_startup_secs(0.0);
-                cluster.start_container(node, spec, SimTime::ZERO)?;
-            }
-        }
-
-        // --- Platform setup -------------------------------------------------
-        let templates: HashMap<ServiceId, ContainerSpec> = config
-            .services
-            .iter()
-            .map(|s| (s.id, s.container.clone()))
-            .collect();
-        let algorithm = config.algorithm.build(config.hpa, config.hyscale);
-        let mut monitor = Monitor::new(algorithm, &cluster, templates.clone());
-        let mut recovery = RecoveryManager::new(config.recovery);
-        let mut injector = FaultInjector::new(&config.faults, &node_ids);
-
-        // --- Workload setup ---------------------------------------------------
-        let mut arrival_rngs: Vec<SimRng> =
-            config.services.iter().map(|_| master_rng.split()).collect();
-        let mut demand_rngs: Vec<SimRng> =
-            config.services.iter().map(|_| master_rng.split()).collect();
-        // Control-plane streams split *after* the workload streams so a
-        // disabled control plane leaves every legacy stream untouched
-        // (the splits still happen, keeping seeds comparable across
-        // configs that only toggle `control_plane.enabled`).
-        let cp_rng = master_rng.split();
-        let lb_rng = master_rng.split();
-        // The resilience stream (retry-backoff jitter) splits last and
-        // unconditionally, so toggling the layer never shifts any other
-        // stream; it is only ever drawn from in the serial phase.
-        let mut resilience_rng = master_rng.split();
-
-        let degraded_control = config.control_plane.enabled;
-        let service_ids: Vec<ServiceId> = config.services.iter().map(|s| s.id).collect();
-        let mut balancer = if degraded_control {
-            monitor.set_control_plane(ControlPlane::new(config.control_plane, cp_rng));
-            let mut lb = LoadBalancer::with_breakers(config.control_plane.breaker, lb_rng);
-            // The balancer's first backend snapshot is the initial
-            // placement; later ones arrive once per scaling period.
-            lb.refresh(&cluster, &service_ids);
-            lb
-        } else {
-            LoadBalancer::new()
-        };
-        let mut arrivals: Vec<ArrivalProcess> = config
-            .services
-            .iter()
-            .map(|s| ArrivalProcess::new(s.load.clone()))
-            .collect();
-
-        // Graph mode: client load attaches only to entry points; every
-        // non-entry tier sees purely derived traffic. Non-entry services
-        // never draw from their arrival streams, which is exactly why an
-        // edge-free graph (every service an entry) reproduces the
-        // graph-free run bit for bit.
-        let mut graph_tracker: Option<GraphTracker> = config
-            .graph
-            .as_ref()
-            .map(|g| GraphTracker::new(g.clone(), &config.services, config.resilience));
-        let takes_client_load = |idx: usize, tracker: &Option<GraphTracker>| {
-            tracker.as_ref().is_none_or(|t| t.is_entry(idx))
-        };
-
-        let mut events: EventQueue<Event> = EventQueue::new();
-        if !config.cohort_arrivals {
-            // Per-request mode: each service runs a thinned Poisson
-            // process of individual arrival events. Cohort mode draws a
-            // per-tick Poisson count inside the tick body instead.
-            for (idx, process) in arrivals.iter_mut().enumerate() {
-                if !takes_client_load(idx, &graph_tracker) {
-                    continue;
-                }
-                let first = process.next_arrival(SimTime::ZERO, &mut arrival_rngs[idx]);
-                if first < SimTime::MAX {
-                    events.schedule(first, Event::Arrival(idx));
-                }
-            }
-        }
-        events.schedule(SimTime::ZERO + config.scale_period, Event::Scale);
-        for (idx, (secs, _)) in config.node_events.iter().enumerate() {
-            events.schedule(SimTime::from_secs(*secs), Event::NodeChange(idx));
-        }
-
-        // --- Metrics ------------------------------------------------------------
-        let mut requests = RequestOutcomes::new();
-        let mut per_service: BTreeMap<ServiceId, RequestOutcomes> = config
-            .services
-            .iter()
-            .map(|s| (s.id, RequestOutcomes::new()))
-            .collect();
-        let mut scaling = ScalingCounts::default();
-        let mut cost = CostMeter::new();
-        let mut replicas_ts = TimeSeries::new("replicas");
-        let mut cpu_ts = TimeSeries::new("cpu-used-cores");
-        let mut mem_ts = TimeSeries::new("mem-used-mb");
-
-        // Per-tick availability roll calls cost one pass over all
-        // containers, so they only run for scenarios that can actually
-        // lose replicas to the infrastructure.
-        let track_availability = !config.faults.is_empty() || !config.node_events.is_empty();
-        let mut availability: BTreeMap<ServiceId, AvailabilityTracker> = config
-            .services
-            .iter()
-            .map(|s| (s.id, AvailabilityTracker::new()))
-            .collect();
-        let mut ready_counts: Vec<u32> = Vec::new();
-
-        // Trace tallies: per-service balancer routing deltas since the
-        // last scaling period (emitted as `BalancerStats`, then reset)
-        // plus run totals for the end-of-run counter dump.
-        let mut balancer_deltas: Vec<(u64, u64)> = vec![(0, 0); config.services.len()];
-        let mut balancer_total = (0u64, 0u64);
-        let mut deaths_total = 0u64;
-        let mut respawns_total = 0u64;
-        let mut recovery_failures_total = 0u64;
-
-        let horizon = SimTime::ZERO + config.duration;
-        let mut engine = TickEngine::new(config.tick, horizon)?;
-        let scale_period_secs = config.scale_period.as_secs();
-        let mut tick_report = TickReport::default();
-        // Cohort-mode scratch (reused across ticks).
-        let mut cohort_routes: Vec<(ContainerId, u64)> = Vec::new();
-
-        // --- Snapshot / resume ------------------------------------------------
-        let cfg_digest = config_digest(config);
-        let snapshot_policy = config.snapshot.clone();
-        let mut next_snapshot_tick = snapshot_policy.as_ref().map_or(0, |p| p.every_ticks);
-        let mut halted = false;
-
+        let mut run = Run::new(config, trace)?;
         if let Some(path) = &config.resume {
-            // Overlay the snapshot onto the freshly built deterministic
-            // setup above. The file is validated end to end (magic,
-            // version, checksum, config digest, exact payload length)
-            // before any state is committed by the all-or-nothing
-            // sub-restores, so a bad file can never leave a partial run.
-            let bytes = std::fs::read(path).map_err(SnapshotError::from)?;
-            let mut r = SnapReader::open(&bytes)?;
-            let found = r.get_u64()?;
-            if found != cfg_digest {
-                return Err(SnapshotError::ConfigMismatch {
-                    expected: cfg_digest,
-                    found,
-                }
-                .into());
-            }
-            let now = SimTime::from_micros(r.get_u64()?);
-            let ticks_run = r.get_u64()?;
-            engine.restore_clock(now, ticks_run);
-            let seq = r.get_u64()?;
-            if traced {
-                trace.resume_at(seq);
-            }
-            cluster.snapshot_restore(&mut r)?;
-            monitor.snapshot_restore(&mut r)?;
-            balancer.snapshot_restore(&mut r)?;
-            recovery.snapshot_restore(&mut r)?;
-            injector.snapshot_restore(&mut r)?;
-            restore_rngs(&mut r, &mut arrival_rngs)?;
-            restore_rngs(&mut r, &mut demand_rngs)?;
-            restore_rngs(&mut r, std::slice::from_mut(&mut resilience_rng))?;
-            events = EventQueue::new();
-            for _ in 0..r.get_usize()? {
-                let time = SimTime::from_micros(r.get_u64()?);
-                let event = match r.get_u8()? {
-                    0 => Event::Arrival(r.get_usize()?),
-                    1 => Event::Scale,
-                    2 => Event::NodeChange(r.get_usize()?),
-                    tag => {
-                        return Err(SnapshotError::Corrupt(format!(
-                            "unknown driver-event tag {tag}"
-                        ))
-                        .into());
-                    }
-                };
-                events.schedule(time, event);
-            }
-            requests = read_outcomes(&mut r)?;
-            let mut restored_per_service: BTreeMap<ServiceId, RequestOutcomes> = BTreeMap::new();
-            for _ in 0..r.get_usize()? {
-                let svc = ServiceId::new(r.get_u32()?);
-                restored_per_service.insert(svc, read_outcomes(&mut r)?);
-            }
-            per_service = restored_per_service;
-            scaling = ScalingCounts {
-                vertical: r.get_u64()?,
-                spawns: r.get_u64()?,
-                removals: r.get_u64()?,
-            };
-            cost =
-                CostMeter::from_raw_parts((r.get_f64()?, r.get_f64()?, r.get_f64()?, r.get_f64()?));
-            read_series_into(&mut r, &mut replicas_ts)?;
-            read_series_into(&mut r, &mut cpu_ts)?;
-            read_series_into(&mut r, &mut mem_ts)?;
-            let mut restored_avail: BTreeMap<ServiceId, AvailabilityTracker> = BTreeMap::new();
-            for _ in 0..r.get_usize()? {
-                let svc = ServiceId::new(r.get_u32()?);
-                let parts = (
-                    r.get_f64()?,
-                    r.get_f64()?,
-                    r.get_u64()?,
-                    r.get_u64()?,
-                    r.get_f64()?,
-                    r.get_opt_f64()?,
-                    r.get_u64()?,
-                    r.get_u64()?,
-                    r.get_u64()?,
-                );
-                restored_avail.insert(svc, AvailabilityTracker::from_raw_parts(parts));
-            }
-            availability = restored_avail;
-            let n = r.get_usize()?;
-            if n != balancer_deltas.len() {
-                return Err(SnapshotError::Corrupt(format!(
-                    "snapshot carries {n} balancer tallies, scenario has {} services",
-                    balancer_deltas.len()
-                ))
-                .into());
-            }
-            for delta in balancer_deltas.iter_mut() {
-                *delta = (r.get_u64()?, r.get_u64()?);
-            }
-            balancer_total = (r.get_u64()?, r.get_u64()?);
-            deaths_total = r.get_u64()?;
-            respawns_total = r.get_u64()?;
-            recovery_failures_total = r.get_u64()?;
-            // Graph-tracker state (presence is pinned by the config
-            // digest, but the tag is still validated).
-            match (r.get_u8()?, graph_tracker.as_mut()) {
-                (0, None) => {}
-                (1, Some(tracker)) => tracker.snapshot_restore(&mut r)?,
-                (tag, tracker) => {
-                    return Err(SnapshotError::Corrupt(format!(
-                        "graph-state tag {tag} does not match scenario (graph {})",
-                        if tracker.is_some() { "on" } else { "off" }
-                    ))
-                    .into());
-                }
-            }
-            r.expect_done()?;
-            if let Some(policy) = &snapshot_policy {
-                next_snapshot_tick =
-                    (engine.ticks_run() / policy.every_ticks + 1) * policy.every_ticks;
-            }
+            run.restore(path)?;
         }
-
-        while !engine.finished() {
-            let outcome = engine.step(|now, dt| {
-                // 0. Fault injection strikes at the start of the tick, in the
-                // serial phase (never inside the parallel node workers), so
-                // chaos runs stay bit-identical at any parallelism setting.
-                if !injector.drained() {
-                    for failure in injector.apply_due_traced(&mut cluster, now, trace) {
-                        record_failure(
-                            &mut requests,
-                            &mut per_service,
-                            graph_tracker.as_mut(),
-                            &failure,
-                            &mut resilience_rng,
-                            trace,
-                            traced,
-                        );
-                    }
-                }
-
-                // 1. Deliver due events at the start of the tick.
-                while let Some((event_time, event)) = events.pop_due(now) {
-                    match event {
-                        Event::Arrival(idx) => {
-                            let service = &config.services[idx];
-                            // Overload shedding drops the root unissued; the
-                            // skipped demand draw is deterministic per config
-                            // because the shed decision is.
-                            let shed = graph_tracker.as_mut().is_some_and(|t| {
-                                t.shed_if_overloaded(idx, 1, &cluster, event_time, trace, traced)
-                            });
-                            if !shed {
-                                requests.record_issued();
-                                let outcomes =
-                                    per_service.get_mut(&service.id).expect("known service");
-                                outcomes.record_issued();
-                                let mut flow =
-                                    service.make_cohort(event_time, 1, &mut demand_rngs[idx]);
-                                // In graph mode every arrival opens a root; a
-                                // request the balancer or admission rejects
-                                // either retries (resilience on) or fails it
-                                // on the spot (seal resolves roots that
-                                // registered no hop). Entry hops inherit
-                                // `min(service timeout, deadline budget)`.
-                                let entry_hop = graph_tracker
-                                    .as_mut()
-                                    .map(|t| t.begin_entry(idx, &mut flow));
-                                let target = balancer.route(&cluster, service.id, now);
-                                let (routed, rejected) = admit_shares(
-                                    &mut cluster,
-                                    &mut balancer,
-                                    &flow,
-                                    target.map(|t| (t, 1)).as_slice(),
-                                    u64::from(target.is_none()),
-                                    graph_tracker.as_mut().zip(entry_hop.as_ref()),
-                                    &mut requests,
-                                    outcomes,
-                                    &mut resilience_rng,
-                                    now,
-                                    trace,
-                                    traced,
-                                );
-                                for t in [&mut balancer_deltas[idx], &mut balancer_total] {
-                                    t.0 += routed;
-                                    t.1 += rejected;
-                                }
-                                if let (Some(t), Some(hop)) =
-                                    (graph_tracker.as_mut(), entry_hop.as_ref())
-                                {
-                                    t.seal_root(hop.root);
-                                }
-                            }
-                            let next =
-                                arrivals[idx].next_arrival(event_time, &mut arrival_rngs[idx]);
-                            if next < SimTime::MAX && next < horizon {
-                                events.schedule(next, Event::Arrival(idx));
-                            }
-                        }
-                        Event::NodeChange(idx) => {
-                            let (_, event) = &config.node_events[idx];
-                            match event {
-                                NodeEvent::Decommission(node_idx) => {
-                                    let failures: Vec<FailedRequest> = cluster
-                                        .decommission_node(node_ids[*node_idx], now)
-                                        .unwrap_or_default();
-                                    for failure in &failures {
-                                        record_failure(
-                                            &mut requests,
-                                            &mut per_service,
-                                            graph_tracker.as_mut(),
-                                            failure,
-                                            &mut resilience_rng,
-                                            trace,
-                                            traced,
-                                        );
-                                    }
-                                }
-                                NodeEvent::Commission(spec) => {
-                                    cluster.add_node(*spec);
-                                }
-                            }
-                        }
-                        Event::Scale => {
-                            // Muted NodeManagers (stat outages) leave their
-                            // containers on stale usage this period.
-                            monitor.set_stat_outages(injector.muted_nodes(now));
-                            let report = monitor.run_period_traced(
-                                &mut cluster,
-                                now,
-                                scale_period_secs,
-                                trace,
-                            );
-                            for action in &report.applied {
-                                use crate::actions::ScalingAction;
-                                match action {
-                                    ScalingAction::Update { .. }
-                                    | ScalingAction::SetNetCap { .. } => {
-                                        scaling.vertical += 1;
-                                    }
-                                    ScalingAction::Spawn { .. } => scaling.spawns += 1,
-                                    ScalingAction::Remove { .. } => scaling.removals += 1,
-                                }
-                            }
-                            for failure in &report.removal_failures {
-                                record_failure(
-                                    &mut requests,
-                                    &mut per_service,
-                                    graph_tracker.as_mut(),
-                                    failure,
-                                    &mut resilience_rng,
-                                    trace,
-                                    traced,
-                                );
-                            }
-
-                            // Replicas that died underneath the platform are
-                            // respawned through the recovery path (placement +
-                            // capped exponential backoff).
-                            deaths_total += report.dead_replicas.len() as u64;
-                            for (service, _) in &report.dead_replicas {
-                                if let Some(t) = availability.get_mut(service) {
-                                    t.record_death();
-                                }
-                            }
-                            let recovered =
-                                recovery.run_traced(&mut cluster, &templates, now, trace);
-                            respawns_total += recovered.respawned.len() as u64;
-                            recovery_failures_total += recovered.failed.len() as u64;
-                            for (service, _) in &recovered.respawned {
-                                if let Some(t) = availability.get_mut(service) {
-                                    t.record_respawn();
-                                }
-                            }
-                            for service in &recovered.failed {
-                                if let Some(t) = availability.get_mut(service) {
-                                    t.record_recovery_failure();
-                                }
-                            }
-
-                            // The balancer hears the period's final replica
-                            // roll call (post scaling + recovery). Snapshot
-                            // mode routes off this until the next period;
-                            // live mode ignores it.
-                            balancer.refresh(&cluster, &service_ids);
-
-                            // Periodic samples for the report.
-                            let secs = now.as_secs();
-                            replicas_ts.push(secs, report.view.total_replicas() as f64);
-                            let cpu_used: f64 = report
-                                .view
-                                .services
-                                .iter()
-                                .map(|s| s.total_cpu_used().get())
-                                .sum();
-                            let mem_used: f64 = report
-                                .view
-                                .services
-                                .iter()
-                                .map(|s| s.total_mem_used().get())
-                                .sum();
-                            cpu_ts.push(secs, cpu_used);
-                            mem_ts.push(secs, mem_used);
-
-                            let allocated: f64 = report
-                                .view
-                                .services
-                                .iter()
-                                .flat_map(|s| s.replicas.iter())
-                                .map(|r| r.cpu_requested.get())
-                                .sum();
-                            let containers = report.view.total_replicas();
-                            let busy_nodes = report
-                                .view
-                                .nodes
-                                .iter()
-                                .filter(|n| !n.hosted_services.is_empty())
-                                .count();
-                            cost.record_interval(
-                                scale_period_secs,
-                                allocated,
-                                containers,
-                                busy_nodes,
-                            );
-
-                            // Periodic trace snapshots: per-node allocator
-                            // headroom, then this period's routing deltas.
-                            if traced {
-                                cluster.trace_pressure(now, trace);
-                                for (svc_idx, service) in config.services.iter().enumerate() {
-                                    let (routed, rejected) = balancer_deltas[svc_idx];
-                                    trace.emit(
-                                        now,
-                                        EventKind::BalancerStats {
-                                            service: service.id.index(),
-                                            routed,
-                                            rejected,
-                                        },
-                                    );
-                                    balancer_deltas[svc_idx] = (0, 0);
-                                }
-                            }
-
-                            events.schedule(now + config.scale_period, Event::Scale);
-                        }
-                    }
-                }
-
-                // 1b. Cohort-mode arrivals: one Poisson draw per service per
-                // tick, carried as a single flow cohort and waterfilled
-                // across replicas. The draw uses the same arrival/demand RNG
-                // streams as per-request mode (one count draw, one profile
-                // draw), so seeds stay comparable across services.
-                if config.cohort_arrivals {
-                    let dt_secs = dt.as_secs();
-                    for (idx, service) in config.services.iter().enumerate() {
-                        if !takes_client_load(idx, &graph_tracker) {
-                            continue;
-                        }
-                        let mean = service.load.rate_at(now) * dt_secs;
-                        let n = arrival_rngs[idx].poisson(mean);
-                        if n == 0 {
-                            continue;
-                        }
-                        // Overload shedding drops the whole tick's cohort.
-                        if graph_tracker.as_mut().is_some_and(|t| {
-                            t.shed_if_overloaded(idx, n, &cluster, now, trace, traced)
-                        }) {
-                            continue;
-                        }
-                        requests.record_issued_n(n);
-                        let outcomes = per_service.get_mut(&service.id).expect("known service");
-                        outcomes.record_issued_n(n);
-                        let mut cohort = service.make_cohort(now, n, &mut demand_rngs[idx]);
-                        let entry_hop = graph_tracker
-                            .as_mut()
-                            .map(|t| t.begin_entry(idx, &mut cohort));
-                        cohort_routes.clear();
-                        let unrouted =
-                            balancer.route_cohort(&cluster, service.id, n, now, &mut cohort_routes);
-                        let (routed, rejected) = admit_shares(
-                            &mut cluster,
-                            &mut balancer,
-                            &cohort,
-                            &cohort_routes,
-                            unrouted,
-                            graph_tracker.as_mut().zip(entry_hop.as_ref()),
-                            &mut requests,
-                            outcomes,
-                            &mut resilience_rng,
-                            now,
-                            trace,
-                            traced,
-                        );
-                        if let (Some(t), Some(hop)) = (graph_tracker.as_mut(), entry_hop.as_ref()) {
-                            // A root with no admitted hop and no queued
-                            // retry resolves right here.
-                            t.seal_root(hop.root);
-                        }
-                        for t in [&mut balancer_deltas[idx], &mut balancer_total] {
-                            t.0 += routed;
-                            t.1 += rejected;
-                        }
-                        if traced {
-                            trace.emit(
-                                now,
-                                EventKind::CohortFlow {
-                                    service: service.id.index(),
-                                    count: n,
-                                    routed,
-                                    rejected,
-                                },
-                            );
-                        }
-                    }
-                }
-
-                // 1c. Graph mode: admit the child hops queued by hops that
-                // completed last tick. Children ride the cohort machinery
-                // regardless of arrival mode (one aggregate record per
-                // admitted share, valid for count = 1), and their arrival
-                // time is the parent's finish — the gap until `now` is the
-                // inter-tier queueing delay the spans report.
-                if graph_tracker
-                    .as_ref()
-                    .is_some_and(GraphTracker::has_pending)
-                {
-                    let tracker = graph_tracker.as_mut().expect("checked above");
-                    let pending = tracker.take_due(now);
-                    for hop in &pending {
-                        let service = &config.services[hop.service];
-                        let svc_idx = hop.service;
-                        requests.record_issued_n(hop.count);
-                        let outcomes = per_service.get_mut(&service.id).expect("known service");
-                        outcomes.record_issued_n(hop.count);
-                        let child = Request::new(
-                            service.id,
-                            hop.arrival,
-                            hop.cpu_secs,
-                            MemMb(hop.mem_mb),
-                            hop.megabits,
-                        )
-                        .with_disk(hop.disk_megabits)
-                        .with_timeout(tracker.hop_timeout(
-                            hop.root,
-                            hop.arrival,
-                            service.timeout,
-                        ));
-                        let cohort =
-                            Cohort::from_request(&child, hop.count).with_attempt(hop.attempt);
-                        cohort_routes.clear();
-                        let unrouted = balancer.route_cohort(
-                            &cluster,
-                            service.id,
-                            hop.count,
-                            now,
-                            &mut cohort_routes,
-                        );
-                        // Retryable rejections re-queue (counting toward the
-                        // root's pending total) inside the hand-off, before
-                        // the settle below, so the root cannot resolve under
-                        // them.
-                        let (routed, rejected) = admit_shares(
-                            &mut cluster,
-                            &mut balancer,
-                            &cohort,
-                            &cohort_routes,
-                            unrouted,
-                            Some((&mut *tracker, hop)),
-                            &mut requests,
-                            outcomes,
-                            &mut resilience_rng,
-                            now,
-                            trace,
-                            traced,
-                        );
-                        // The queued entry itself is settled last, so the
-                        // root cannot resolve before its shares register.
-                        tracker.settle_queued(hop.root);
-                        for t in [&mut balancer_deltas[svc_idx], &mut balancer_total] {
-                            t.0 += routed;
-                            t.1 += rejected;
-                        }
-                    }
-                    tracker.return_pending_scratch(pending);
-                }
-
-                // 2. Advance the resource model (reusing one report buffer
-                // across ticks keeps the hot loop allocation-free).
-                cluster.advance_into(now, dt, &mut tick_report);
-                for done in tick_report.completed.drain(..) {
-                    requests.record_completed_n(done.response_time.as_secs(), done.count);
-                    if let Some(out) = per_service.get_mut(&done.service) {
-                        out.record_completed_n(done.response_time.as_secs(), done.count);
-                    }
-                    if let Some(tracker) = graph_tracker.as_mut() {
-                        // Journals the hop's span, queues its children for
-                        // next tick, and resolves the root if this was its
-                        // last outstanding hop.
-                        tracker.on_completed(&done, &config.services, trace, traced);
-                    }
-                }
-                for failed in tick_report.failed.drain(..) {
-                    record_failure(
-                        &mut requests,
-                        &mut per_service,
-                        graph_tracker.as_mut(),
-                        &failed,
-                        &mut resilience_rng,
-                        trace,
-                        traced,
-                    );
-                }
-
-                // 3. Availability roll call: a service is up in this tick iff
-                // at least one ready replica exists.
-                if track_availability {
-                    cluster.ready_replicas_into(now, &mut ready_counts);
-                    let dt_secs = dt.as_secs();
-                    for (service, tracker) in availability.iter_mut() {
-                        let up = ready_counts.get(service.as_usize()).is_some_and(|&n| n > 0);
-                        tracker.record_tick(dt_secs, up);
-                    }
-                }
-
-                TickOutcome::Continue
-            })?;
-
-            // Snapshot at the tick boundary the body just crossed.
-            if let Some(policy) = &snapshot_policy {
-                if engine.ticks_run() == next_snapshot_tick && !engine.finished() {
-                    let tick = engine.ticks_run();
-                    let boundary = engine.now();
-                    // The Snapshot event is emitted *before* the state is
-                    // serialized, so the captured trace cursor already
-                    // counts it: an interrupted journal ends exactly
-                    // where the resumed journal begins.
-                    if traced {
-                        trace.emit(
-                            boundary,
-                            EventKind::Snapshot {
-                                tick,
-                                now_us: boundary.as_micros(),
-                            },
-                        );
-                    }
-                    // Replay any lazily-parked idle ticks so the
-                    // serialized windows/EWMAs match a full-scan run.
-                    cluster.flush_pending();
-                    let writer = serialize_state(
-                        cfg_digest,
-                        &DriverState {
-                            engine: &engine,
-                            trace_seq: trace.total_emitted(),
-                            cluster: &cluster,
-                            monitor: &monitor,
-                            balancer: &balancer,
-                            recovery: &recovery,
-                            injector: &injector,
-                            arrival_rngs: &arrival_rngs,
-                            demand_rngs: &demand_rngs,
-                            resilience_rng: &resilience_rng,
-                            events: &events,
-                            requests: &requests,
-                            per_service: &per_service,
-                            scaling: &scaling,
-                            cost: &cost,
-                            replicas_ts: &replicas_ts,
-                            cpu_ts: &cpu_ts,
-                            mem_ts: &mem_ts,
-                            availability: &availability,
-                            balancer_deltas: &balancer_deltas,
-                            balancer_total,
-                            deaths_total,
-                            respawns_total,
-                            recovery_failures_total,
-                            graph: graph_tracker.as_ref(),
-                        },
-                    );
-                    std::fs::create_dir_all(&policy.dir).map_err(SnapshotError::from)?;
-                    std::fs::write(policy.file_for(tick), writer.finish())
-                        .map_err(SnapshotError::from)?;
-                    next_snapshot_tick += policy.every_ticks;
-                    if policy.halt_after_first {
-                        halted = true;
-                    }
-                }
-            }
-            if halted || matches!(outcome, TickOutcome::Stop) {
-                break;
-            }
+        while !run.engine.finished() && !run.halted {
+            let (now, dt) = run.engine.step()?;
+            run.tick(now, dt);
+            run.snapshot_if_due()?;
         }
-
-        // Control-plane health counters: the Monitor's control plane
-        // tallies the report/actuation/safe-mode side; the balancer owns
-        // the breaker tally.
-        let mut control_plane_stats = monitor
-            .control_plane()
-            .map(|cp| cp.stats)
-            .unwrap_or_default();
-        control_plane_stats.breaker_opens = balancer.breaker_opens();
-
-        // End-of-horizon state digest: cheap bit-exactness witness for
-        // the resume-equivalence battery. Skipped for halted runs (their
-        // state is mid-flight by design).
-        // Any nodes still parked at the horizon replay their pending
-        // idle ticks now, so end-of-run reads (and the digest below)
-        // match the full-scan engine exactly.
-        cluster.flush_pending();
-        let state_digest = if !halted
-            && engine.finished()
-            && (config.snapshot.is_some() || config.resume.is_some())
-        {
-            Some(
-                serialize_state(
-                    cfg_digest,
-                    &DriverState {
-                        engine: &engine,
-                        trace_seq: trace.total_emitted(),
-                        cluster: &cluster,
-                        monitor: &monitor,
-                        balancer: &balancer,
-                        recovery: &recovery,
-                        injector: &injector,
-                        arrival_rngs: &arrival_rngs,
-                        demand_rngs: &demand_rngs,
-                        resilience_rng: &resilience_rng,
-                        events: &events,
-                        requests: &requests,
-                        per_service: &per_service,
-                        scaling: &scaling,
-                        cost: &cost,
-                        replicas_ts: &replicas_ts,
-                        cpu_ts: &cpu_ts,
-                        mem_ts: &mem_ts,
-                        availability: &availability,
-                        balancer_deltas: &balancer_deltas,
-                        balancer_total,
-                        deaths_total,
-                        respawns_total,
-                        recovery_failures_total,
-                        graph: graph_tracker.as_ref(),
-                    },
-                )
-                .digest(),
-            )
-        } else {
-            None
-        };
-
-        // Final counter dump through the metrics registry: names register
-        // once, in a fixed order, so the journal tail is deterministic by
-        // construction. A halted (snapshot-and-stop) run skips it: the
-        // resumed run emits the dump at the true horizon, keeping the
-        // concatenated journal identical to an uninterrupted one. Graph
-        // counters are appended only for graph scenarios so a graph-free
-        // journal stays byte-identical to pre-graph builds.
-        if traced && !halted {
-            let mut registry = MetricsRegistry::new();
-            let mut totals: Vec<(&'static str, u64)> = vec![
-                ("requests.issued", requests.issued),
-                ("requests.completed", requests.completed),
-                ("failures.connection", requests.failures.connection()),
-                ("failures.removal", requests.failures.removal),
-                ("scaling.vertical", scaling.vertical),
-                ("scaling.spawns", scaling.spawns),
-                ("scaling.removals", scaling.removals),
-                ("balancer.routed", balancer_total.0),
-                ("balancer.rejected", balancer_total.1),
-                ("recovery.respawns", respawns_total),
-                ("recovery.failures", recovery_failures_total),
-                ("replica.deaths", deaths_total),
-                (
-                    "controlplane.reports_lost",
-                    control_plane_stats.reports_lost,
-                ),
-                (
-                    "controlplane.reports_late",
-                    control_plane_stats.reports_late,
-                ),
-                (
-                    "controlplane.reports_duplicated",
-                    control_plane_stats.reports_duplicated,
-                ),
-                (
-                    "controlplane.actuation_failures",
-                    control_plane_stats.actuation_failures,
-                ),
-                (
-                    "controlplane.actuation_retries",
-                    control_plane_stats.actuation_retries,
-                ),
-                (
-                    "controlplane.actuations_deduped",
-                    control_plane_stats.actuations_deduped,
-                ),
-                (
-                    "controlplane.actuations_abandoned",
-                    control_plane_stats.actuations_abandoned,
-                ),
-                (
-                    "controlplane.breaker_opens",
-                    control_plane_stats.breaker_opens,
-                ),
-                (
-                    "controlplane.safe_mode_periods",
-                    control_plane_stats.safe_mode_periods,
-                ),
-                (
-                    "controlplane.stale_vetoes",
-                    control_plane_stats.stale_vetoes,
-                ),
-            ];
-            if let Some(tracker) = graph_tracker.as_ref() {
-                let stats = tracker.entry_stats();
-                totals.push((
-                    "graph.roots_completed",
-                    stats.iter().map(|s| s.roots_completed).sum(),
-                ));
-                totals.push((
-                    "graph.roots_failed",
-                    stats.iter().map(|s| s.roots_failed).sum(),
-                ));
-                // Resilience counters only exist for resilience-enabled
-                // scenarios, so a resilience-free journal stays
-                // byte-identical to builds without the layer.
-                if config.resilience.enabled {
-                    let rs = tracker.resilience_stats();
-                    totals.push(("retry.attempts", rs.retries));
-                    totals.push(("retry.members", rs.retried_members));
-                    totals.push(("retry.budget_exhausted", rs.budget_exhausted));
-                    totals.push(("retry.deadline_exceeded", rs.deadline_exceeded));
-                    totals.push(("shed.roots", rs.shed_roots));
-                    totals.push(("shed.members", rs.shed_members));
-                    totals.push(("goodput.members", rs.goodput_members));
-                    totals.push(("wasted.members", rs.wasted_members));
-                }
-            }
-            for (name, value) in totals {
-                let id = registry.counter(name);
-                registry.add(id, value);
-            }
-            for (name, value) in registry.counters() {
-                trace.emit(horizon, EventKind::Counter { name, value });
-            }
-        }
-
-        let resilience = graph_tracker
-            .as_ref()
-            .map(|t| t.resilience_stats())
-            .unwrap_or_default();
-        let mut report = RunReport {
-            name: config.name.clone(),
-            algorithm: config.algorithm,
-            seeds: vec![config.seed],
-            requests,
-            per_service,
-            scaling,
-            cost,
-            replicas: replicas_ts,
-            cpu_used: cpu_ts,
-            mem_used: mem_ts,
-            availability: availability
-                .into_iter()
-                .map(|(s, t)| (s, t.finalize()))
-                .collect(),
-            faults: injector.log(),
-            control_plane: control_plane_stats,
-            warp_ticks: 0,
-            entry_points: graph_tracker
-                .map(GraphTracker::into_entry_stats)
-                .unwrap_or_default(),
-            resilience,
-            state_digest,
-        };
-        report.trim();
-        Ok(report)
+        Ok(run.finish())
     }
 
     /// Runs the scenario once per seed and merges the outcomes — the
@@ -1546,119 +532,1018 @@ fn config_digest(config: &ScenarioConfig) -> u64 {
     fnv1a(repr.as_bytes())
 }
 
-/// Shared borrows of every piece of mutable run state a snapshot
-/// captures, bundled so [`serialize_state`] has one coherent signature.
-struct DriverState<'a> {
-    engine: &'a TickEngine,
-    trace_seq: u64,
-    cluster: &'a Cluster,
-    monitor: &'a Monitor,
-    balancer: &'a LoadBalancer,
-    recovery: &'a RecoveryManager,
-    injector: &'a FaultInjector,
-    arrival_rngs: &'a [SimRng],
-    demand_rngs: &'a [SimRng],
-    resilience_rng: &'a SimRng,
-    events: &'a EventQueue<Event>,
-    requests: &'a RequestOutcomes,
-    per_service: &'a BTreeMap<ServiceId, RequestOutcomes>,
-    scaling: &'a ScalingCounts,
-    cost: &'a CostMeter,
-    replicas_ts: &'a TimeSeries,
-    cpu_ts: &'a TimeSeries,
-    mem_ts: &'a TimeSeries,
-    availability: &'a BTreeMap<ServiceId, AvailabilityTracker>,
-    balancer_deltas: &'a [(u64, u64)],
+/// One scenario run in flight: the configuration, the journal, and every
+/// piece of mutable run state. [`SimulationDriver::run_traced`] builds it
+/// with [`Run::new`], optionally overlays a snapshot with
+/// [`Run::restore`], then alternates [`Run::tick`] and
+/// [`Run::snapshot_if_due`] until the horizon (or a halting snapshot)
+/// and ends with [`Run::finish`].
+struct Run<'a> {
+    config: &'a ScenarioConfig,
+    trace: &'a mut TraceSink,
+    /// [`config_digest`] of `config`; a snapshot must carry the same one.
+    cfg_digest: u64,
+    engine: TickEngine,
+    node_ids: Vec<NodeId>,
+    service_ids: Vec<ServiceId>,
+    templates: HashMap<ServiceId, ContainerSpec>,
+    cluster: Cluster,
+    monitor: Monitor,
+    balancer: LoadBalancer,
+    recovery: RecoveryManager,
+    injector: FaultInjector,
+    arrivals: Vec<ArrivalProcess>,
+    arrival_rngs: Vec<SimRng>,
+    demand_rngs: Vec<SimRng>,
+    /// Retry-backoff jitter, only ever drawn from in the serial phase.
+    resilience_rng: SimRng,
+    graph: Option<GraphTracker>,
+    events: EventQueue<Event>,
+    requests: RequestOutcomes,
+    per_service: BTreeMap<ServiceId, RequestOutcomes>,
+    scaling: ScalingCounts,
+    cost: CostMeter,
+    replicas_ts: TimeSeries,
+    cpu_ts: TimeSeries,
+    mem_ts: TimeSeries,
+    /// Per-tick availability roll calls cost one pass over all
+    /// containers, so they only run for scenarios that can actually lose
+    /// replicas to the infrastructure.
+    track_availability: bool,
+    availability: BTreeMap<ServiceId, AvailabilityTracker>,
+    /// Per-service balancer `(routed, rejected)` members since the last
+    /// scaling period (emitted as `BalancerStats`, then reset).
+    balancer_deltas: Vec<(u64, u64)>,
+    /// Run totals for the end-of-run counter dump.
     balancer_total: (u64, u64),
     deaths_total: u64,
     respawns_total: u64,
     recovery_failures_total: u64,
-    graph: Option<&'a GraphTracker>,
+    // Scratch reused across ticks, keeping the hot loop allocation-free.
+    tick_report: TickReport,
+    routes: Vec<(ContainerId, u64)>,
+    ready_counts: Vec<u32>,
+    next_snapshot_tick: u64,
+    /// Set once a `halt_after_first` snapshot has been written.
+    halted: bool,
 }
 
-/// Serializes the complete run state into an (unframed) snapshot payload.
-/// [`SnapWriter::finish`] frames it; [`SnapWriter::digest`] turns it into
-/// the end-of-run state digest. The read side is the resume overlay in
-/// [`SimulationDriver::run_traced`]; the two must mirror exactly.
-fn serialize_state(cfg_digest: u64, s: &DriverState<'_>) -> SnapWriter {
-    let mut w = SnapWriter::new();
-    w.put_u64(cfg_digest);
-    w.put_u64(s.engine.now().as_micros());
-    w.put_u64(s.engine.ticks_run());
-    w.put_u64(s.trace_seq);
-    s.cluster.snapshot_write(&mut w);
-    s.monitor.snapshot_write(&mut w);
-    s.balancer.snapshot_write(&mut w);
-    s.recovery.snapshot_write(&mut w);
-    s.injector.snapshot_write(&mut w);
-    write_rngs(&mut w, s.arrival_rngs);
-    write_rngs(&mut w, s.demand_rngs);
-    write_rngs(&mut w, std::slice::from_ref(s.resilience_rng));
-    let entries = s.events.entries_in_order();
-    w.put_usize(entries.len());
-    for (time, event) in entries {
-        w.put_u64(time.as_micros());
-        match *event {
-            Event::Arrival(idx) => {
-                w.put_u8(0);
-                w.put_usize(idx);
+impl<'a> Run<'a> {
+    /// Validates `config` and builds the run at tick zero: nodes,
+    /// antagonists, pre-warmed replicas, the platform, every RNG stream
+    /// split from the master seed in a fixed order, and the first events.
+    fn new(config: &'a ScenarioConfig, trace: &'a mut TraceSink) -> Result<Self, CoreError> {
+        config.validate()?;
+        let mut master_rng = SimRng::seed_from(config.seed);
+        // A resumed run continues the interrupted run's journal: it
+        // neither re-announces the run nor restarts sequence numbers.
+        if config.resume.is_none() {
+            trace.emit(
+                SimTime::ZERO,
+                EventKind::RunStart {
+                    seed: config.seed,
+                    algorithm: config.algorithm.label(),
+                },
+            );
+        }
+
+        // --- Cluster setup -------------------------------------------------
+        let mut cluster = Cluster::new(config.cluster);
+        cluster.set_parallelism(config.parallelism);
+        let node_ids: Vec<NodeId> = config
+            .nodes
+            .iter()
+            .map(|spec| cluster.add_node(*spec))
+            .collect();
+
+        for (node_idx, spec) in &config.antagonists {
+            let spec = spec.clone().with_startup_secs(0.0);
+            cluster.start_container(node_ids[*node_idx], spec, SimTime::ZERO)?;
+        }
+
+        // Initial replicas, placed round-robin across nodes. They are
+        // pre-warmed (no startup delay): the paper's services are already
+        // running when an experiment's measurement window opens.
+        let mut placement_cursor = 0usize;
+        for service in &config.services {
+            for _ in 0..config.initial_replicas {
+                let node = node_ids[placement_cursor % node_ids.len()];
+                placement_cursor += 1;
+                let spec = service.container.clone().with_startup_secs(0.0);
+                cluster.start_container(node, spec, SimTime::ZERO)?;
             }
-            Event::Scale => w.put_u8(1),
-            Event::NodeChange(idx) => {
-                w.put_u8(2);
-                w.put_usize(idx);
+        }
+
+        // --- Platform setup -------------------------------------------------
+        let templates: HashMap<ServiceId, ContainerSpec> = config
+            .services
+            .iter()
+            .map(|s| (s.id, s.container.clone()))
+            .collect();
+        let algorithm = config.algorithm.build(config.hpa, config.hyscale);
+        let mut monitor = Monitor::new(algorithm, &cluster, templates.clone());
+
+        // --- Workload setup ---------------------------------------------------
+        let arrival_rngs: Vec<SimRng> =
+            config.services.iter().map(|_| master_rng.split()).collect();
+        let demand_rngs: Vec<SimRng> = config.services.iter().map(|_| master_rng.split()).collect();
+        // Control-plane streams split *after* the workload streams so a
+        // disabled control plane leaves every legacy stream untouched
+        // (the splits still happen, keeping seeds comparable across
+        // configs that only toggle `control_plane.enabled`).
+        let cp_rng = master_rng.split();
+        let lb_rng = master_rng.split();
+        // The resilience stream (retry-backoff jitter) splits last and
+        // unconditionally, so toggling the layer never shifts any other
+        // stream.
+        let resilience_rng = master_rng.split();
+
+        let service_ids: Vec<ServiceId> = config.services.iter().map(|s| s.id).collect();
+        let balancer = if config.control_plane.enabled {
+            monitor.set_control_plane(ControlPlane::new(config.control_plane, cp_rng));
+            let mut lb = LoadBalancer::with_breakers(config.control_plane.breaker, lb_rng);
+            // The balancer's first backend snapshot is the initial
+            // placement; later ones arrive once per scaling period.
+            lb.refresh(&cluster, &service_ids);
+            lb
+        } else {
+            LoadBalancer::new()
+        };
+
+        let mut run = Run {
+            config,
+            trace,
+            cfg_digest: config_digest(config),
+            engine: TickEngine::new(config.tick, SimTime::ZERO + config.duration)?,
+            recovery: RecoveryManager::new(config.recovery),
+            injector: FaultInjector::new(&config.faults, &node_ids),
+            node_ids,
+            service_ids,
+            templates,
+            cluster,
+            monitor,
+            balancer,
+            arrivals: config
+                .services
+                .iter()
+                .map(|s| ArrivalProcess::new(s.load.clone()))
+                .collect(),
+            arrival_rngs,
+            demand_rngs,
+            resilience_rng,
+            graph: config
+                .graph
+                .as_ref()
+                .map(|g| GraphTracker::new(g.clone(), &config.services, config.resilience)),
+            events: EventQueue::new(),
+            requests: RequestOutcomes::new(),
+            per_service: config
+                .services
+                .iter()
+                .map(|s| (s.id, RequestOutcomes::new()))
+                .collect(),
+            scaling: ScalingCounts::default(),
+            cost: CostMeter::new(),
+            replicas_ts: TimeSeries::new("replicas"),
+            cpu_ts: TimeSeries::new("cpu-used-cores"),
+            mem_ts: TimeSeries::new("mem-used-mb"),
+            track_availability: !config.faults.is_empty() || !config.node_events.is_empty(),
+            availability: config
+                .services
+                .iter()
+                .map(|s| (s.id, AvailabilityTracker::new()))
+                .collect(),
+            balancer_deltas: vec![(0, 0); config.services.len()],
+            balancer_total: (0, 0),
+            deaths_total: 0,
+            respawns_total: 0,
+            recovery_failures_total: 0,
+            tick_report: TickReport::default(),
+            routes: Vec::new(),
+            ready_counts: Vec::new(),
+            next_snapshot_tick: config.snapshot.as_ref().map_or(0, |p| p.every_ticks),
+            halted: false,
+        };
+
+        if !config.cohort_arrivals {
+            // Per-request mode: each service runs a thinned Poisson
+            // process of individual arrival events. Cohort mode draws a
+            // per-tick Poisson count in `cohort_arrivals` instead.
+            for idx in 0..config.services.len() {
+                if !run.takes_client_load(idx) {
+                    continue;
+                }
+                let first =
+                    run.arrivals[idx].next_arrival(SimTime::ZERO, &mut run.arrival_rngs[idx]);
+                if first < SimTime::MAX {
+                    run.events.schedule(first, Event::Arrival(idx));
+                }
+            }
+        }
+        run.events
+            .schedule(SimTime::ZERO + config.scale_period, Event::Scale);
+        for (idx, (secs, _)) in config.node_events.iter().enumerate() {
+            run.events
+                .schedule(SimTime::from_secs(*secs), Event::NodeChange(idx));
+        }
+        Ok(run)
+    }
+
+    /// Whether service `idx` draws client load: every service without a
+    /// graph, only the entry points with one (every other tier sees
+    /// purely derived traffic). Non-entry services never draw from their
+    /// arrival streams, which is exactly why an edge-free graph (every
+    /// service an entry) reproduces the graph-free run bit for bit.
+    fn takes_client_load(&self, idx: usize) -> bool {
+        self.graph.as_ref().is_none_or(|t| t.is_entry(idx))
+    }
+
+    /// Serializes the complete run state into an (unframed) snapshot
+    /// payload. [`SnapWriter::finish`] frames it; [`SnapWriter::digest`]
+    /// turns it into the end-of-run state digest. [`Run::restore`] reads
+    /// the same fields in the same order.
+    fn write_state(&self) -> SnapWriter {
+        let mut w = SnapWriter::new();
+        w.put_u64(self.cfg_digest);
+        w.put_u64(self.engine.now().as_micros());
+        w.put_u64(self.engine.ticks_run());
+        w.put_u64(self.trace.total_emitted());
+        self.cluster.snapshot_write(&mut w);
+        self.monitor.snapshot_write(&mut w);
+        self.balancer.snapshot_write(&mut w);
+        self.recovery.snapshot_write(&mut w);
+        self.injector.snapshot_write(&mut w);
+        write_rngs(&mut w, &self.arrival_rngs);
+        write_rngs(&mut w, &self.demand_rngs);
+        write_rngs(&mut w, std::slice::from_ref(&self.resilience_rng));
+        let entries = self.events.entries_in_order();
+        w.put_usize(entries.len());
+        for (time, event) in entries {
+            w.put_u64(time.as_micros());
+            match *event {
+                Event::Arrival(idx) => {
+                    w.put_u8(0);
+                    w.put_usize(idx);
+                }
+                Event::Scale => w.put_u8(1),
+                Event::NodeChange(idx) => {
+                    w.put_u8(2);
+                    w.put_usize(idx);
+                }
+            }
+        }
+        write_outcomes(&mut w, &self.requests);
+        w.put_usize(self.per_service.len());
+        for (&svc, outcomes) in &self.per_service {
+            w.put_u32(svc.index());
+            write_outcomes(&mut w, outcomes);
+        }
+        w.put_u64(self.scaling.vertical);
+        w.put_u64(self.scaling.spawns);
+        w.put_u64(self.scaling.removals);
+        let (core_secs, container_secs, busy_node_secs, elapsed_secs) = self.cost.raw_parts();
+        w.put_f64(core_secs);
+        w.put_f64(container_secs);
+        w.put_f64(busy_node_secs);
+        w.put_f64(elapsed_secs);
+        write_series(&mut w, &self.replicas_ts);
+        write_series(&mut w, &self.cpu_ts);
+        write_series(&mut w, &self.mem_ts);
+        w.put_usize(self.availability.len());
+        for (&svc, tracker) in &self.availability {
+            w.put_u32(svc.index());
+            let parts = tracker.raw_parts();
+            w.put_f64(parts.0);
+            w.put_f64(parts.1);
+            w.put_u64(parts.2);
+            w.put_u64(parts.3);
+            w.put_f64(parts.4);
+            w.put_opt_f64(parts.5);
+            w.put_u64(parts.6);
+            w.put_u64(parts.7);
+            w.put_u64(parts.8);
+        }
+        w.put_usize(self.balancer_deltas.len());
+        for &(routed, rejected) in &self.balancer_deltas {
+            w.put_u64(routed);
+            w.put_u64(rejected);
+        }
+        w.put_u64(self.balancer_total.0);
+        w.put_u64(self.balancer_total.1);
+        w.put_u64(self.deaths_total);
+        w.put_u64(self.respawns_total);
+        w.put_u64(self.recovery_failures_total);
+        match &self.graph {
+            None => w.put_u8(0),
+            Some(tracker) => {
+                w.put_u8(1);
+                tracker.snapshot_write(&mut w);
+            }
+        }
+        w
+    }
+
+    /// Overlays the snapshot at `path` onto the freshly built run: the
+    /// read side of [`Run::write_state`]. The file is validated end to
+    /// end (magic, version, checksum, config digest, exact payload
+    /// length); an error abandons the run, so a bad file can never leave
+    /// a partial one.
+    fn restore(&mut self, path: &Path) -> Result<(), CoreError> {
+        let bytes = std::fs::read(path).map_err(SnapshotError::from)?;
+        let mut r = SnapReader::open(&bytes)?;
+        let found = r.get_u64()?;
+        if found != self.cfg_digest {
+            return Err(SnapshotError::ConfigMismatch {
+                expected: self.cfg_digest,
+                found,
+            }
+            .into());
+        }
+        let now = SimTime::from_micros(r.get_u64()?);
+        let ticks_run = r.get_u64()?;
+        self.engine.restore_clock(now, ticks_run);
+        let seq = r.get_u64()?;
+        if self.trace.is_enabled() {
+            self.trace.resume_at(seq);
+        }
+        self.cluster.snapshot_restore(&mut r)?;
+        self.monitor.snapshot_restore(&mut r)?;
+        self.balancer.snapshot_restore(&mut r)?;
+        self.recovery.snapshot_restore(&mut r)?;
+        self.injector.snapshot_restore(&mut r)?;
+        restore_rngs(&mut r, &mut self.arrival_rngs)?;
+        restore_rngs(&mut r, &mut self.demand_rngs)?;
+        restore_rngs(&mut r, std::slice::from_mut(&mut self.resilience_rng))?;
+        self.events = EventQueue::new();
+        for _ in 0..r.get_usize()? {
+            let time = SimTime::from_micros(r.get_u64()?);
+            let event = match r.get_u8()? {
+                0 => Event::Arrival(r.get_usize()?),
+                1 => Event::Scale,
+                2 => Event::NodeChange(r.get_usize()?),
+                tag => {
+                    return Err(
+                        SnapshotError::Corrupt(format!("unknown driver-event tag {tag}")).into(),
+                    );
+                }
+            };
+            self.events.schedule(time, event);
+        }
+        self.requests = read_outcomes(&mut r)?;
+        self.per_service.clear();
+        for _ in 0..r.get_usize()? {
+            let svc = ServiceId::new(r.get_u32()?);
+            self.per_service.insert(svc, read_outcomes(&mut r)?);
+        }
+        self.scaling = ScalingCounts {
+            vertical: r.get_u64()?,
+            spawns: r.get_u64()?,
+            removals: r.get_u64()?,
+        };
+        self.cost =
+            CostMeter::from_raw_parts((r.get_f64()?, r.get_f64()?, r.get_f64()?, r.get_f64()?));
+        read_series_into(&mut r, &mut self.replicas_ts)?;
+        read_series_into(&mut r, &mut self.cpu_ts)?;
+        read_series_into(&mut r, &mut self.mem_ts)?;
+        self.availability.clear();
+        for _ in 0..r.get_usize()? {
+            let svc = ServiceId::new(r.get_u32()?);
+            let parts = (
+                r.get_f64()?,
+                r.get_f64()?,
+                r.get_u64()?,
+                r.get_u64()?,
+                r.get_f64()?,
+                r.get_opt_f64()?,
+                r.get_u64()?,
+                r.get_u64()?,
+                r.get_u64()?,
+            );
+            self.availability
+                .insert(svc, AvailabilityTracker::from_raw_parts(parts));
+        }
+        let n = r.get_usize()?;
+        if n != self.balancer_deltas.len() {
+            return Err(SnapshotError::Corrupt(format!(
+                "snapshot carries {n} balancer tallies, scenario has {} services",
+                self.balancer_deltas.len()
+            ))
+            .into());
+        }
+        for delta in &mut self.balancer_deltas {
+            *delta = (r.get_u64()?, r.get_u64()?);
+        }
+        self.balancer_total = (r.get_u64()?, r.get_u64()?);
+        self.deaths_total = r.get_u64()?;
+        self.respawns_total = r.get_u64()?;
+        self.recovery_failures_total = r.get_u64()?;
+        // Graph-tracker state (presence is pinned by the config digest,
+        // but the tag is still validated).
+        match (r.get_u8()?, self.graph.as_mut()) {
+            (0, None) => {}
+            (1, Some(tracker)) => tracker.snapshot_restore(&mut r)?,
+            (tag, tracker) => {
+                return Err(SnapshotError::Corrupt(format!(
+                    "graph-state tag {tag} does not match scenario (graph {})",
+                    if tracker.is_some() { "on" } else { "off" }
+                ))
+                .into());
+            }
+        }
+        r.expect_done()?;
+        if let Some(policy) = &self.config.snapshot {
+            self.next_snapshot_tick = (ticks_run / policy.every_ticks + 1) * policy.every_ticks;
+        }
+        Ok(())
+    }
+
+    /// One tick of length `dt` starting at `now`, phase by phase.
+    fn tick(&mut self, now: SimTime, dt: SimDuration) {
+        // Fault injection strikes at the start of the tick, in the serial
+        // phase (never inside the parallel node workers), so chaos runs
+        // stay bit-identical at any parallelism setting.
+        if !self.injector.drained() {
+            for failure in self
+                .injector
+                .apply_due_traced(&mut self.cluster, now, self.trace)
+            {
+                self.record_failure(&failure);
+            }
+        }
+        while let Some((event_time, event)) = self.events.pop_due(now) {
+            match event {
+                Event::Arrival(idx) => self.arrival(idx, event_time, now),
+                Event::NodeChange(idx) => self.node_change(idx, now),
+                Event::Scale => self.scale_period(now),
+            }
+        }
+        if self.config.cohort_arrivals {
+            self.cohort_arrivals(now, dt);
+        }
+        self.graph_hops(now);
+        self.advance(now, dt);
+        // Availability roll call: a service is up in this tick iff at
+        // least one ready replica exists.
+        if self.track_availability {
+            self.cluster
+                .ready_replicas_into(now, &mut self.ready_counts);
+            let dt_secs = dt.as_secs();
+            for (service, tracker) in &mut self.availability {
+                let up = self
+                    .ready_counts
+                    .get(service.as_usize())
+                    .is_some_and(|&n| n > 0);
+                tracker.record_tick(dt_secs, up);
             }
         }
     }
-    write_outcomes(&mut w, s.requests);
-    w.put_usize(s.per_service.len());
-    for (&svc, outcomes) in s.per_service {
-        w.put_u32(svc.index());
-        write_outcomes(&mut w, outcomes);
-    }
-    w.put_u64(s.scaling.vertical);
-    w.put_u64(s.scaling.spawns);
-    w.put_u64(s.scaling.removals);
-    let (core_secs, container_secs, busy_node_secs, elapsed_secs) = s.cost.raw_parts();
-    w.put_f64(core_secs);
-    w.put_f64(container_secs);
-    w.put_f64(busy_node_secs);
-    w.put_f64(elapsed_secs);
-    write_series(&mut w, s.replicas_ts);
-    write_series(&mut w, s.cpu_ts);
-    write_series(&mut w, s.mem_ts);
-    w.put_usize(s.availability.len());
-    for (&svc, tracker) in s.availability {
-        w.put_u32(svc.index());
-        let parts = tracker.raw_parts();
-        w.put_f64(parts.0);
-        w.put_f64(parts.1);
-        w.put_u64(parts.2);
-        w.put_u64(parts.3);
-        w.put_f64(parts.4);
-        w.put_opt_f64(parts.5);
-        w.put_u64(parts.6);
-        w.put_u64(parts.7);
-        w.put_u64(parts.8);
-    }
-    w.put_usize(s.balancer_deltas.len());
-    for &(routed, rejected) in s.balancer_deltas {
-        w.put_u64(routed);
-        w.put_u64(rejected);
-    }
-    w.put_u64(s.balancer_total.0);
-    w.put_u64(s.balancer_total.1);
-    w.put_u64(s.deaths_total);
-    w.put_u64(s.respawns_total);
-    w.put_u64(s.recovery_failures_total);
-    match s.graph {
-        None => w.put_u8(0),
-        Some(tracker) => {
-            w.put_u8(1);
-            tracker.snapshot_write(&mut w);
+
+    /// One per-request client arrival on service `idx`, stamped
+    /// `event_time` and routed at the tick start `now`; schedules the
+    /// service's next arrival.
+    fn arrival(&mut self, idx: usize, event_time: SimTime, now: SimTime) {
+        let service = &self.config.services[idx];
+        // Overload shedding drops the root unissued; the skipped demand
+        // draw is deterministic per config because the shed decision is.
+        let shed = self
+            .graph
+            .as_mut()
+            .is_some_and(|t| t.shed_if_overloaded(idx, 1, &self.cluster, event_time, self.trace));
+        if !shed {
+            let mut flow = service.make_cohort(event_time, 1, &mut self.demand_rngs[idx]);
+            // In graph mode every arrival opens a root; a request the
+            // balancer or admission rejects either retries (resilience on)
+            // or fails it on the spot (seal resolves roots that registered
+            // no hop). Entry hops inherit `min(service timeout, deadline
+            // budget)`.
+            let entry_hop = self.graph.as_mut().map(|t| t.begin_entry(idx, &mut flow));
+            let target = self.balancer.route(&self.cluster, service.id, now);
+            self.routes.clear();
+            self.routes.extend(target.map(|t| (t, 1)));
+            self.admit(
+                idx,
+                &flow,
+                u64::from(target.is_none()),
+                entry_hop.as_ref(),
+                now,
+            );
+            if let (Some(t), Some(hop)) = (self.graph.as_mut(), entry_hop) {
+                t.seal_root(hop.root);
+            }
+        }
+        let next = self.arrivals[idx].next_arrival(event_time, &mut self.arrival_rngs[idx]);
+        if next < SimTime::MAX && next < self.engine.horizon() {
+            self.events.schedule(next, Event::Arrival(idx));
         }
     }
-    w
+
+    /// A scheduled machine addition or removal.
+    fn node_change(&mut self, idx: usize, now: SimTime) {
+        match &self.config.node_events[idx].1 {
+            NodeEvent::Decommission(node_idx) => {
+                let failures = self
+                    .cluster
+                    .decommission_node(self.node_ids[*node_idx], now)
+                    .unwrap_or_default();
+                for failure in &failures {
+                    self.record_failure(failure);
+                }
+            }
+            NodeEvent::Commission(spec) => {
+                self.cluster.add_node(*spec);
+            }
+        }
+    }
+
+    /// The Monitor's scaling period: runs the algorithm, respawns dead
+    /// replicas, refreshes the balancer, samples the report series and
+    /// the cost integral, and schedules the next period.
+    fn scale_period(&mut self, now: SimTime) {
+        let config = self.config;
+        let period_secs = config.scale_period.as_secs();
+        // Muted NodeManagers (stat outages) leave their containers on
+        // stale usage this period.
+        self.monitor
+            .set_stat_outages(self.injector.muted_nodes(now));
+        let report =
+            self.monitor
+                .run_period_traced(&mut self.cluster, now, period_secs, self.trace);
+        for action in &report.applied {
+            match action {
+                ScalingAction::Update { .. } | ScalingAction::SetNetCap { .. } => {
+                    self.scaling.vertical += 1;
+                }
+                ScalingAction::Spawn { .. } => self.scaling.spawns += 1,
+                ScalingAction::Remove { .. } => self.scaling.removals += 1,
+            }
+        }
+        for failure in &report.removal_failures {
+            self.record_failure(failure);
+        }
+
+        // Replicas that died underneath the platform are respawned
+        // through the recovery path (placement + capped exponential
+        // backoff).
+        self.deaths_total += report.dead_replicas.len() as u64;
+        for (service, _) in &report.dead_replicas {
+            if let Some(t) = self.availability.get_mut(service) {
+                t.record_death();
+            }
+        }
+        let recovered =
+            self.recovery
+                .run_traced(&mut self.cluster, &self.templates, now, self.trace);
+        self.respawns_total += recovered.respawned.len() as u64;
+        self.recovery_failures_total += recovered.failed.len() as u64;
+        for (service, _) in &recovered.respawned {
+            if let Some(t) = self.availability.get_mut(service) {
+                t.record_respawn();
+            }
+        }
+        for service in &recovered.failed {
+            if let Some(t) = self.availability.get_mut(service) {
+                t.record_recovery_failure();
+            }
+        }
+
+        // The balancer hears the period's final replica roll call (post
+        // scaling + recovery). Snapshot mode routes off this until the
+        // next period; live mode ignores it.
+        self.balancer.refresh(&self.cluster, &self.service_ids);
+
+        // Periodic samples for the report.
+        let view = &report.view;
+        let secs = now.as_secs();
+        self.replicas_ts.push(secs, view.total_replicas() as f64);
+        let cpu_used: f64 = view.services.iter().map(|s| s.total_cpu_used().get()).sum();
+        let mem_used: f64 = view.services.iter().map(|s| s.total_mem_used().get()).sum();
+        self.cpu_ts.push(secs, cpu_used);
+        self.mem_ts.push(secs, mem_used);
+        let allocated: f64 = view
+            .services
+            .iter()
+            .flat_map(|s| s.replicas.iter())
+            .map(|r| r.cpu_requested.get())
+            .sum();
+        let busy_nodes = view
+            .nodes
+            .iter()
+            .filter(|n| !n.hosted_services.is_empty())
+            .count();
+        self.cost
+            .record_interval(period_secs, allocated, view.total_replicas(), busy_nodes);
+
+        // Periodic trace snapshots: per-node allocator headroom, then
+        // this period's routing deltas.
+        if self.trace.is_enabled() {
+            self.cluster.trace_pressure(now, self.trace);
+            for (service, delta) in config.services.iter().zip(&mut self.balancer_deltas) {
+                let (routed, rejected) = std::mem::take(delta);
+                self.trace.emit(
+                    now,
+                    EventKind::BalancerStats {
+                        service: service.id.index(),
+                        routed,
+                        rejected,
+                    },
+                );
+            }
+        }
+
+        self.events
+            .schedule(now + config.scale_period, Event::Scale);
+    }
+
+    /// Cohort-mode arrivals: one Poisson draw per service per tick,
+    /// carried as a single flow cohort and waterfilled across replicas.
+    /// The draw uses the same arrival/demand RNG streams as per-request
+    /// mode (one count draw, one profile draw), so seeds stay comparable
+    /// across services.
+    fn cohort_arrivals(&mut self, now: SimTime, dt: SimDuration) {
+        let config = self.config;
+        let dt_secs = dt.as_secs();
+        for (idx, service) in config.services.iter().enumerate() {
+            if !self.takes_client_load(idx) {
+                continue;
+            }
+            let mean = service.load.rate_at(now) * dt_secs;
+            let n = self.arrival_rngs[idx].poisson(mean);
+            if n == 0 {
+                continue;
+            }
+            // Overload shedding drops the whole tick's cohort.
+            if self
+                .graph
+                .as_mut()
+                .is_some_and(|t| t.shed_if_overloaded(idx, n, &self.cluster, now, self.trace))
+            {
+                continue;
+            }
+            let mut cohort = service.make_cohort(now, n, &mut self.demand_rngs[idx]);
+            let entry_hop = self.graph.as_mut().map(|t| t.begin_entry(idx, &mut cohort));
+            self.routes.clear();
+            let unrouted =
+                self.balancer
+                    .route_cohort(&self.cluster, service.id, n, now, &mut self.routes);
+            let (routed, rejected) = self.admit(idx, &cohort, unrouted, entry_hop.as_ref(), now);
+            if let (Some(t), Some(hop)) = (self.graph.as_mut(), entry_hop) {
+                // A root with no admitted hop and no queued retry
+                // resolves right here.
+                t.seal_root(hop.root);
+            }
+            self.trace.emit(
+                now,
+                EventKind::CohortFlow {
+                    service: service.id.index(),
+                    count: n,
+                    routed,
+                    rejected,
+                },
+            );
+        }
+    }
+
+    /// Graph mode: admits the child hops queued by hops that completed
+    /// last tick. Children ride the cohort machinery regardless of
+    /// arrival mode (one aggregate record per admitted share, valid for
+    /// count = 1), and their arrival time is the parent's finish — the
+    /// gap until `now` is the inter-tier queueing delay the spans report.
+    fn graph_hops(&mut self, now: SimTime) {
+        let config = self.config;
+        let Some(tracker) = self.graph.as_mut().filter(|t| t.has_pending()) else {
+            return;
+        };
+        let pending = tracker.take_due(now);
+        for hop in &pending {
+            let service = &config.services[hop.service];
+            let tracker = self.graph.as_mut().expect("graph mode");
+            let child = Request::new(
+                service.id,
+                hop.arrival,
+                hop.cpu_secs,
+                MemMb(hop.mem_mb),
+                hop.megabits,
+            )
+            .with_disk(hop.disk_megabits)
+            .with_timeout(tracker.hop_timeout(hop.root, hop.arrival, service.timeout));
+            let cohort = Cohort::from_request(&child, hop.count).with_attempt(hop.attempt);
+            self.routes.clear();
+            let unrouted = self.balancer.route_cohort(
+                &self.cluster,
+                service.id,
+                hop.count,
+                now,
+                &mut self.routes,
+            );
+            // Retryable rejections re-queue (counting toward the root's
+            // pending total) inside the hand-off, before the settle below,
+            // so the root cannot resolve under them.
+            self.admit(hop.service, &cohort, unrouted, Some(hop), now);
+            // The queued entry itself is settled last, so the root cannot
+            // resolve before its shares register.
+            self.graph
+                .as_mut()
+                .expect("graph mode")
+                .settle_queued(hop.root);
+        }
+        self.graph
+            .as_mut()
+            .expect("graph mode")
+            .return_pending_scratch(pending);
+    }
+
+    /// Issues `flow.count` members of service `idx` and hands their
+    /// routed shares (`self.routes`) to the cluster — the single
+    /// admission path behind per-request arrivals, cohort arrivals and
+    /// graph child hops. `unrouted` counts members the balancer found no
+    /// replica for. Each share is admitted as a copy of `flow` with the
+    /// share's member count. Admitted shares feed the replica's circuit
+    /// breaker as successes and, with a graph `hop`, register as hops of
+    /// its root; refused shares feed it as failures. Refused and unrouted
+    /// members are tallied as queue aborts and, with a `hop`, handed to
+    /// [`GraphTracker::on_unadmitted`] (retry or fail the root). Returns
+    /// `(admitted, rejected)` members, which also feed the balancer
+    /// tallies: a member counts as routed only once a replica admitted it.
+    fn admit(
+        &mut self,
+        idx: usize,
+        flow: &Cohort,
+        unrouted: u64,
+        hop: Option<&PendingHop>,
+        now: SimTime,
+    ) -> (u64, u64) {
+        let outcomes = self
+            .per_service
+            .get_mut(&self.config.services[idx].id)
+            .expect("known service");
+        self.requests.record_issued_n(flow.count);
+        outcomes.record_issued_n(flow.count);
+        let mut admitted = 0;
+        let mut rejected = unrouted;
+        for &(target, count) in &self.routes {
+            match self
+                .cluster
+                .admit_cohort(target, Cohort { count, ..*flow }, now)
+            {
+                Ok(first) => {
+                    admitted += count;
+                    if let (Some(tracker), Some(hop)) = (self.graph.as_mut(), hop) {
+                        tracker.register_hop(hop.root, first.index(), hop);
+                    }
+                    self.balancer.record_success(target, now, self.trace);
+                }
+                Err(_) => {
+                    rejected += count;
+                    self.balancer.record_failure(target, now, self.trace);
+                }
+            }
+        }
+        if rejected > 0 {
+            self.requests.record_queue_abort_failures(rejected);
+            outcomes.record_queue_abort_failures(rejected);
+            if let (Some(tracker), Some(hop)) = (self.graph.as_mut(), hop) {
+                tracker.on_unadmitted(hop, rejected, now, &mut self.resilience_rng, self.trace);
+            }
+        }
+        for t in [&mut self.balancer_deltas[idx], &mut self.balancer_total] {
+            t.0 += admitted;
+            t.1 += rejected;
+        }
+        (admitted, rejected)
+    }
+
+    /// Advances the resource model one tick and settles what finished.
+    /// The reused report buffer is moved out and put back, so the loop
+    /// stays allocation-free.
+    fn advance(&mut self, now: SimTime, dt: SimDuration) {
+        let mut report = std::mem::take(&mut self.tick_report);
+        self.cluster.advance_into(now, dt, &mut report);
+        for done in report.completed.drain(..) {
+            let secs = done.response_time.as_secs();
+            self.requests.record_completed_n(secs, done.count);
+            if let Some(out) = self.per_service.get_mut(&done.service) {
+                out.record_completed_n(secs, done.count);
+            }
+            if let Some(tracker) = self.graph.as_mut() {
+                // Journals the hop's span, queues its children for next
+                // tick, and resolves the root if this was its last
+                // outstanding hop.
+                tracker.on_completed(&done, &self.config.services, self.trace);
+            }
+        }
+        for failed in report.failed.drain(..) {
+            self.record_failure(&failed);
+        }
+        self.tick_report = report;
+    }
+
+    /// Tallies one aborted/failed request exactly once, into both the
+    /// overall and the per-service outcomes, according to the paper's
+    /// taxonomy: scale-in and decommission aborts are **removal**
+    /// failures, while timeouts, queue aborts, and infrastructure deaths
+    /// are tallied separately and rolled up as **connection** failures in
+    /// reports. Every failure-recording site funnels through here, so a
+    /// request can never be double-counted or dropped — and, in graph
+    /// mode, so every lost hop reliably fails its root (or, with the
+    /// resilience layer enabled and a retryable failure, re-queues as a
+    /// retry hop). The failed attempt is tallied either way: retries are
+    /// extra issued load, so per-attempt accounting keeps `completed +
+    /// failures ≤ issued` intact.
+    fn record_failure(&mut self, failure: &FailedRequest) {
+        if let Some(tracker) = self.graph.as_mut() {
+            tracker.on_failed(failure, &mut self.resilience_rng, self.trace);
+        }
+        // Per-request paths always carry count 1; aborted cohorts arrive
+        // as one aggregate record carrying their member count.
+        record_failure_tally(&mut self.requests, failure.kind, failure.count);
+        if let Some(out) = self.per_service.get_mut(&failure.service) {
+            record_failure_tally(out, failure.kind, failure.count);
+        }
+    }
+
+    /// Writes a snapshot at the tick boundary just crossed if one is due,
+    /// and marks the run halted after the first one when the policy asks.
+    fn snapshot_if_due(&mut self) -> Result<(), CoreError> {
+        let Some(policy) = &self.config.snapshot else {
+            return Ok(());
+        };
+        let tick = self.engine.ticks_run();
+        if tick != self.next_snapshot_tick || self.engine.finished() {
+            return Ok(());
+        }
+        let boundary = self.engine.now();
+        // The Snapshot event is emitted *before* the state is serialized,
+        // so the captured trace cursor already counts it: an interrupted
+        // journal ends exactly where the resumed journal begins.
+        self.trace.emit(
+            boundary,
+            EventKind::Snapshot {
+                tick,
+                now_us: boundary.as_micros(),
+            },
+        );
+        // Replay any lazily-parked idle ticks so the serialized
+        // windows/EWMAs match a full-scan run.
+        self.cluster.flush_pending();
+        let bytes = self.write_state().finish();
+        std::fs::create_dir_all(&policy.dir).map_err(SnapshotError::from)?;
+        std::fs::write(policy.file_for(tick), bytes).map_err(SnapshotError::from)?;
+        self.next_snapshot_tick += policy.every_ticks;
+        self.halted = policy.halt_after_first;
+        Ok(())
+    }
+
+    /// Ends the run: the end-of-horizon state digest, the counter dump,
+    /// and the report.
+    fn finish(mut self) -> RunReport {
+        let config = self.config;
+        // Control-plane health counters: the Monitor's control plane
+        // tallies the report/actuation/safe-mode side; the balancer owns
+        // the breaker tally.
+        let mut control_plane = self
+            .monitor
+            .control_plane()
+            .map(|cp| cp.stats)
+            .unwrap_or_default();
+        control_plane.breaker_opens = self.balancer.breaker_opens();
+
+        // Any nodes still parked at the horizon replay their pending idle
+        // ticks now, so end-of-run reads (and the digest below) match the
+        // full-scan engine exactly.
+        self.cluster.flush_pending();
+        // End-of-horizon state digest: cheap bit-exactness witness for
+        // the resume-equivalence battery. Skipped for halted runs (their
+        // state is mid-flight by design).
+        let state_digest = (!self.halted
+            && self.engine.finished()
+            && (config.snapshot.is_some() || config.resume.is_some()))
+        .then(|| self.write_state().digest());
+
+        // A halted (snapshot-and-stop) run skips the counter dump: the
+        // resumed run emits it at the true horizon, keeping the
+        // concatenated journal identical to an uninterrupted one.
+        if self.trace.is_enabled() && !self.halted {
+            self.counters(&control_plane);
+        }
+
+        let resilience = self
+            .graph
+            .as_ref()
+            .map(GraphTracker::resilience_stats)
+            .unwrap_or_default();
+        let mut report = RunReport {
+            name: config.name.clone(),
+            algorithm: config.algorithm,
+            seeds: vec![config.seed],
+            requests: self.requests,
+            per_service: self.per_service,
+            scaling: self.scaling,
+            cost: self.cost,
+            replicas: self.replicas_ts,
+            cpu_used: self.cpu_ts,
+            mem_used: self.mem_ts,
+            availability: self
+                .availability
+                .into_iter()
+                .map(|(s, t)| (s, t.finalize()))
+                .collect(),
+            faults: self.injector.log(),
+            control_plane,
+            warp_ticks: 0,
+            entry_points: self
+                .graph
+                .map(GraphTracker::into_entry_stats)
+                .unwrap_or_default(),
+            resilience,
+            state_digest,
+        };
+        report.trim();
+        report
+    }
+
+    /// The final counter dump through the metrics registry: names
+    /// register once, in a fixed order, so the journal tail is
+    /// deterministic by construction. Graph counters are appended only
+    /// for graph scenarios so a graph-free journal stays byte-identical
+    /// to pre-graph builds.
+    fn counters(&mut self, control_plane: &ControlPlaneStats) {
+        let mut totals: Vec<(&'static str, u64)> = vec![
+            ("requests.issued", self.requests.issued),
+            ("requests.completed", self.requests.completed),
+            ("failures.connection", self.requests.failures.connection()),
+            ("failures.removal", self.requests.failures.removal),
+            ("scaling.vertical", self.scaling.vertical),
+            ("scaling.spawns", self.scaling.spawns),
+            ("scaling.removals", self.scaling.removals),
+            ("balancer.routed", self.balancer_total.0),
+            ("balancer.rejected", self.balancer_total.1),
+            ("recovery.respawns", self.respawns_total),
+            ("recovery.failures", self.recovery_failures_total),
+            ("replica.deaths", self.deaths_total),
+            ("controlplane.reports_lost", control_plane.reports_lost),
+            ("controlplane.reports_late", control_plane.reports_late),
+            (
+                "controlplane.reports_duplicated",
+                control_plane.reports_duplicated,
+            ),
+            (
+                "controlplane.actuation_failures",
+                control_plane.actuation_failures,
+            ),
+            (
+                "controlplane.actuation_retries",
+                control_plane.actuation_retries,
+            ),
+            (
+                "controlplane.actuations_deduped",
+                control_plane.actuations_deduped,
+            ),
+            (
+                "controlplane.actuations_abandoned",
+                control_plane.actuations_abandoned,
+            ),
+            ("controlplane.breaker_opens", control_plane.breaker_opens),
+            (
+                "controlplane.safe_mode_periods",
+                control_plane.safe_mode_periods,
+            ),
+            ("controlplane.stale_vetoes", control_plane.stale_vetoes),
+        ];
+        if let Some(tracker) = self.graph.as_ref() {
+            let stats = tracker.entry_stats();
+            totals.push((
+                "graph.roots_completed",
+                stats.iter().map(|s| s.roots_completed).sum(),
+            ));
+            totals.push((
+                "graph.roots_failed",
+                stats.iter().map(|s| s.roots_failed).sum(),
+            ));
+            // Resilience counters only exist for resilience-enabled
+            // scenarios, so a resilience-free journal stays
+            // byte-identical to builds without the layer.
+            if self.config.resilience.enabled {
+                let rs = tracker.resilience_stats();
+                totals.push(("retry.attempts", rs.retries));
+                totals.push(("retry.members", rs.retried_members));
+                totals.push(("retry.budget_exhausted", rs.budget_exhausted));
+                totals.push(("retry.deadline_exceeded", rs.deadline_exceeded));
+                totals.push(("shed.roots", rs.shed_roots));
+                totals.push(("shed.members", rs.shed_members));
+                totals.push(("goodput.members", rs.goodput_members));
+                totals.push(("wasted.members", rs.wasted_members));
+            }
+        }
+        let mut registry = MetricsRegistry::new();
+        for (name, value) in totals {
+            let id = registry.counter(name);
+            registry.add(id, value);
+        }
+        let horizon = self.engine.horizon();
+        for (name, value) in registry.counters() {
+            self.trace.emit(horizon, EventKind::Counter { name, value });
+        }
+    }
 }
 
 /// Writes the internal states of a slice of RNG streams.

@@ -1,5 +1,4 @@
-//! Runtime tracking of multi-tier request flow over a
-//! [`ServiceGraph`](hyscale_workload::ServiceGraph).
+//! Runtime tracking of multi-tier request flow over a [`ServiceGraph`].
 //!
 //! The graph itself (in `hyscale-workload`) is pure topology; this module
 //! owns the driver-side state that walks it. Every client arrival on an
@@ -41,8 +40,8 @@ use hyscale_workload::ServiceSpec;
 
 use crate::resilience::{ResilienceConfig, ResilienceStats};
 
-/// End-to-end outcomes for one entry-point service of a
-/// [`ServiceGraph`](hyscale_workload::ServiceGraph) scenario.
+/// End-to-end outcomes for one entry-point service of a [`ServiceGraph`]
+/// scenario.
 ///
 /// Counts are in *root* (logical user request) and *member* units: a
 /// cohort of `n` arrivals on the entry point opens one root with `n`
@@ -281,7 +280,6 @@ impl GraphTracker {
         cluster: &Cluster,
         now: SimTime,
         trace: &mut TraceSink,
-        traced: bool,
     ) -> bool {
         if !self.resilience.enabled || self.resilience.shed_watermark == 0 {
             return false;
@@ -290,7 +288,7 @@ impl GraphTracker {
         if in_flight < self.resilience.shed_watermark {
             return false;
         }
-        self.record_shed(idx, members, in_flight, now, trace, traced);
+        self.record_shed(idx, members, in_flight, now, trace);
         true
     }
 
@@ -303,12 +301,11 @@ impl GraphTracker {
         in_flight: u64,
         now: SimTime,
         trace: &mut TraceSink,
-        traced: bool,
     ) {
         debug_assert!(self.is_entry(idx), "shed on a non-entry service");
         self.stats.shed_roots += 1;
         self.stats.shed_members += members;
-        if traced {
+        if trace.is_enabled() {
             trace.emit(
                 now,
                 EventKind::Shed {
@@ -461,13 +458,12 @@ impl GraphTracker {
         now: SimTime,
         rng: &mut SimRng,
         trace: &mut TraceSink,
-        traced: bool,
     ) {
         let template = PendingHop {
             count: rejected,
             ..*hop
         };
-        if self.try_retry(template, FailureKind::QueueAbort, now, rng, trace, traced) {
+        if self.try_retry(template, FailureKind::QueueAbort, now, rng, trace) {
             if let Some(record) = self.roots.get_mut(&hop.root) {
                 record.pending += 1;
             }
@@ -486,13 +482,12 @@ impl GraphTracker {
         done: &CompletedRequest,
         services: &[ServiceSpec],
         trace: &mut TraceSink,
-        traced: bool,
     ) {
         let Some(hop) = self.hops.remove(&done.id.index()) else {
             return;
         };
         let record = self.roots.get_mut(&hop.root).expect("hop without root");
-        if traced {
+        if trace.is_enabled() {
             trace.emit(
                 done.finished,
                 EventKind::Span {
@@ -554,13 +549,7 @@ impl GraphTracker {
     /// the batch re-queues as a retry [`PendingHop`] after its backoff;
     /// otherwise the whole root is failed, no children spawn, and the
     /// root resolves once its other hops drain.
-    pub fn on_failed(
-        &mut self,
-        failure: &FailedRequest,
-        rng: &mut SimRng,
-        trace: &mut TraceSink,
-        traced: bool,
-    ) {
+    pub fn on_failed(&mut self, failure: &FailedRequest, rng: &mut SimRng, trace: &mut TraceSink) {
         let Some(hop) = self.hops.remove(&failure.id.index()) else {
             return;
         };
@@ -577,14 +566,7 @@ impl GraphTracker {
             attempt: hop.attempt,
             policy: hop.policy,
         };
-        if self.try_retry(
-            template,
-            failure.kind,
-            failure.failed_at,
-            rng,
-            trace,
-            traced,
-        ) {
+        if self.try_retry(template, failure.kind, failure.failed_at, rng, trace) {
             // Net pending is unchanged: the in-flight hop record left,
             // the queued retry took its place.
             return;
@@ -610,7 +592,6 @@ impl GraphTracker {
         failed_at: SimTime,
         rng: &mut SimRng,
         trace: &mut TraceSink,
-        traced: bool,
     ) -> bool {
         if !self.resilience.enabled {
             return false;
@@ -632,7 +613,7 @@ impl GraphTracker {
         let retry_at = failed_at + SimDuration::from_secs(backoff);
         if retry_at >= record.deadline {
             self.stats.deadline_exceeded += 1;
-            if traced {
+            if trace.is_enabled() {
                 trace.emit(
                     failed_at,
                     EventKind::DeadlineExceeded {
@@ -647,7 +628,7 @@ impl GraphTracker {
         if self.resilience.has_retry_budget() {
             if self.tokens[hop.service] < hop.count as f64 {
                 self.stats.budget_exhausted += 1;
-                if traced {
+                if trace.is_enabled() {
                     trace.emit(
                         failed_at,
                         EventKind::BudgetExhausted {
@@ -663,7 +644,7 @@ impl GraphTracker {
         }
         self.stats.retries += 1;
         self.stats.retried_members += hop.count;
-        if traced {
+        if trace.is_enabled() {
             trace.emit(
                 failed_at,
                 EventKind::Retry {
@@ -1028,7 +1009,7 @@ mod tests {
         assert!(!t.is_idle());
 
         let mut sink = TraceSink::disabled();
-        t.on_completed(&completed(100, 0, 5, 1.0), &specs, &mut sink, false);
+        t.on_completed(&completed(100, 0, 5, 1.0), &specs, &mut sink);
         // The entry hop spawned one pending child (service 1, 5×2
         // members); the root is still open.
         assert!(t.has_pending());
@@ -1042,12 +1023,12 @@ mod tests {
 
         t.register_hop(root, 200, &pending[0]);
         t.settle_queued(root);
-        t.on_completed(&completed(200, 1, 10, 2.0), &specs, &mut sink, false);
+        t.on_completed(&completed(200, 1, 10, 2.0), &specs, &mut sink);
         let pending = t.take_due(SimTime::from_secs(100.0));
         assert_eq!(pending[0].service, 2);
         t.register_hop(root, 300, &pending[0]);
         t.settle_queued(root);
-        t.on_completed(&completed(300, 2, 10, 3.5), &specs, &mut sink, false);
+        t.on_completed(&completed(300, 2, 10, 3.5), &specs, &mut sink);
 
         assert!(t.is_idle());
         let stats = t.into_entry_stats();
@@ -1068,7 +1049,7 @@ mod tests {
         t.seal_root(root);
         let mut sink = TraceSink::disabled();
         let mut rng = SimRng::seed_from(1);
-        t.on_completed(&completed(10, 0, 3, 1.0), &specs, &mut sink, false);
+        t.on_completed(&completed(10, 0, 3, 1.0), &specs, &mut sink);
         let pending = t.take_due(SimTime::from_secs(100.0));
         t.register_hop(root, 20, &pending[0]);
         t.settle_queued(root);
@@ -1076,7 +1057,6 @@ mod tests {
             &failed(20, 1, 3, 2.0, FailureKind::Timeout),
             &mut rng,
             &mut sink,
-            false,
         );
         assert!(t.is_idle());
         let stats = t.into_entry_stats();
@@ -1112,7 +1092,7 @@ mod tests {
         let root = t.begin_root(0, SimTime::ZERO, 1);
         t.register_hop(root, 1, &entry_hop(root, 0));
         let mut sink = TraceSink::disabled();
-        t.on_completed(&completed(1, 0, 1, 1.0), &specs, &mut sink, false);
+        t.on_completed(&completed(1, 0, 1, 1.0), &specs, &mut sink);
         let pending = t.take_due(SimTime::from_secs(100.0));
         let child = &specs[1];
         assert_eq!(pending[0].count, 3);
@@ -1135,7 +1115,7 @@ mod tests {
         let root = t.begin_root(0, SimTime::ZERO, 2);
         t.register_hop(root, 10, &entry_hop(root, 0));
         t.seal_root(root);
-        t.on_completed(&completed(10, 0, 2, 1.0), &specs, &mut sink, false);
+        t.on_completed(&completed(10, 0, 2, 1.0), &specs, &mut sink);
         let pending = t.take_due(SimTime::from_secs(100.0));
         t.register_hop(root, 20, &pending[0]);
         t.settle_queued(root);
@@ -1145,7 +1125,6 @@ mod tests {
             &failed(20, 1, 2, 2.0, FailureKind::InfraDeath),
             &mut rng,
             &mut sink,
-            false,
         );
         assert!(!t.is_idle(), "root must stay open for the retry");
         assert_eq!(t.resilience_stats().retries, 1);
@@ -1162,7 +1141,7 @@ mod tests {
         // The retry succeeds; the root completes cleanly.
         t.register_hop(root, 30, &due[0]);
         t.settle_queued(root);
-        t.on_completed(&completed(30, 1, 2, 4.0), &specs, &mut sink, false);
+        t.on_completed(&completed(30, 1, 2, 4.0), &specs, &mut sink);
         assert!(t.is_idle());
         assert_eq!(t.resilience_stats().goodput_members, 4);
         assert_eq!(t.resilience_stats().wasted_members, 0);
@@ -1187,7 +1166,7 @@ mod tests {
         let root = t.begin_root(0, SimTime::ZERO, 1);
         t.register_hop(root, 10, &entry_hop(root, 0));
         t.seal_root(root);
-        t.on_completed(&completed(10, 0, 1, 1.0), &specs, &mut sink, false);
+        t.on_completed(&completed(10, 0, 1, 1.0), &specs, &mut sink);
         let pending = t.take_due(SimTime::from_secs(100.0));
         t.register_hop(root, 20, &pending[0]);
         t.settle_queued(root);
@@ -1195,7 +1174,6 @@ mod tests {
             &failed(20, 1, 1, 2.0, FailureKind::InfraDeath),
             &mut rng,
             &mut sink,
-            false,
         );
         let due = t.take_due(SimTime::from_secs(10.0));
         assert_eq!(due[0].attempt, 1);
@@ -1206,7 +1184,6 @@ mod tests {
             &failed(30, 1, 1, 4.0, FailureKind::InfraDeath),
             &mut rng,
             &mut sink,
-            false,
         );
         assert!(t.is_idle());
         assert_eq!(t.resilience_stats().retries, 1);
@@ -1229,7 +1206,7 @@ mod tests {
         let root = t.begin_root(0, SimTime::ZERO, 4);
         t.register_hop(root, 10, &entry_hop(root, 0));
         t.seal_root(root);
-        t.on_completed(&completed(10, 0, 4, 1.0), &specs, &mut sink, false);
+        t.on_completed(&completed(10, 0, 4, 1.0), &specs, &mut sink);
         let pending = t.take_due(SimTime::from_secs(100.0));
         t.register_hop(root, 20, &pending[0]);
         t.settle_queued(root);
@@ -1239,7 +1216,6 @@ mod tests {
             &failed(20, 1, 4, 2.0, FailureKind::InfraDeath),
             &mut rng,
             &mut sink,
-            false,
         );
         assert!(t.is_idle(), "budget-refused retry fails the root");
         assert_eq!(t.resilience_stats().budget_exhausted, 1);
@@ -1267,7 +1243,7 @@ mod tests {
         );
         t.register_hop(root, 10, &entry_hop(root, 0));
         t.seal_root(root);
-        t.on_completed(&completed(10, 0, 1, 2.0), &specs, &mut sink, false);
+        t.on_completed(&completed(10, 0, 1, 2.0), &specs, &mut sink);
         let pending = t.take_due(SimTime::from_secs(100.0));
         t.register_hop(root, 20, &pending[0]);
         t.settle_queued(root);
@@ -1276,7 +1252,6 @@ mod tests {
             &failed(20, 1, 1, 3.0, FailureKind::InfraDeath),
             &mut rng,
             &mut sink,
-            false,
         );
         assert!(t.is_idle());
         assert_eq!(t.resilience_stats().deadline_exceeded, 1);
@@ -1297,7 +1272,7 @@ mod tests {
         let root = t.begin_root(0, SimTime::ZERO, 3);
         let hop = entry_hop(root, 0);
         // The whole admission was rejected: retry instead of fail.
-        t.on_unadmitted(&hop, 3, SimTime::ZERO, &mut rng, &mut sink, false);
+        t.on_unadmitted(&hop, 3, SimTime::ZERO, &mut rng, &mut sink);
         t.seal_root(root);
         assert!(!t.is_idle(), "retry keeps the root open past seal");
         let due = t.take_due(SimTime::from_secs(1.0));
@@ -1306,7 +1281,7 @@ mod tests {
         assert_eq!(due[0].count, 3);
         t.register_hop(root, 40, &due[0]);
         t.settle_queued(root);
-        t.on_completed(&completed(40, 0, 3, 2.0), &specs, &mut sink, false);
+        t.on_completed(&completed(40, 0, 3, 2.0), &specs, &mut sink);
         assert!(t.is_idle());
         let stats = t.into_entry_stats();
         assert_eq!(stats[0].roots_completed, 1);
@@ -1329,7 +1304,6 @@ mod tests {
             &failed(10, 0, 1, 1.0, FailureKind::InfraDeath),
             &mut rng,
             &mut sink,
-            false,
         );
         assert_eq!(rng.state(), before, "disabled layer must not draw");
 
@@ -1346,7 +1320,6 @@ mod tests {
             &failed(10, 0, 1, 1.0, FailureKind::InfraDeath),
             &mut rng,
             &mut sink,
-            false,
         );
         assert_ne!(rng.state(), before, "jittered retry must draw once");
         assert_eq!(t.resilience_stats().retries, 1);
@@ -1367,7 +1340,7 @@ mod tests {
         let root = t.begin_root(0, SimTime::ZERO, 1);
         t.register_hop(root, 10, &entry_hop(root, 0));
         t.seal_root(root);
-        t.on_completed(&completed(10, 0, 1, 1.0), &specs, &mut sink, false);
+        t.on_completed(&completed(10, 0, 1, 1.0), &specs, &mut sink);
         let pending = t.take_due(SimTime::from_secs(100.0));
         assert_eq!(pending[0].policy, 1);
         t.register_hop(root, 20, &pending[0]);
@@ -1376,7 +1349,6 @@ mod tests {
             &failed(20, 1, 1, 2.0, FailureKind::InfraDeath),
             &mut rng,
             &mut sink,
-            false,
         );
         assert!(t.is_idle(), "edge-off policy must not retry");
         assert_eq!(t.resilience_stats().retries, 0);
@@ -1391,7 +1363,7 @@ mod tests {
         t.register_hop(root, 50, &entry_hop(root, 0));
         let mut sink = TraceSink::disabled();
         let mut rng = SimRng::seed_from(1);
-        t.on_completed(&completed(50, 0, 2, 2.0), &specs, &mut sink, false);
+        t.on_completed(&completed(50, 0, 2, 2.0), &specs, &mut sink);
         // Two pending children, root open. Also one fully resolved root.
         let done_root = t.begin_root(0, SimTime::ZERO, 1);
         t.register_hop(done_root, 60, &entry_hop(done_root, 0));
@@ -1401,7 +1373,6 @@ mod tests {
             &failed(60, 0, 1, 1.0, FailureKind::Removal),
             &mut rng,
             &mut sink,
-            false,
         );
 
         let mut w = SnapWriter::new();
@@ -1436,7 +1407,7 @@ mod tests {
         let root = t.begin_root(0, SimTime::ZERO, 2);
         t.register_hop(root, 10, &entry_hop(root, 0));
         t.seal_root(root);
-        t.on_completed(&completed(10, 0, 2, 1.0), &specs, &mut sink, false);
+        t.on_completed(&completed(10, 0, 2, 1.0), &specs, &mut sink);
         let pending = t.take_due(SimTime::from_secs(100.0));
         t.register_hop(root, 20, &pending[0]);
         t.settle_queued(root);
@@ -1445,9 +1416,8 @@ mod tests {
             &failed(20, 1, 2, 2.0, FailureKind::InfraDeath),
             &mut rng,
             &mut sink,
-            false,
         );
-        t.record_shed(0, 5, 200, SimTime::from_secs(2.0), &mut sink, false);
+        t.record_shed(0, 5, 200, SimTime::from_secs(2.0), &mut sink);
         assert!(t.has_pending());
         assert_eq!(t.resilience_stats().retries, 1);
         assert_eq!(t.resilience_stats().shed_roots, 1);

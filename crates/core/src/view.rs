@@ -2,8 +2,8 @@
 //!
 //! Every scaling period the Node Managers report `docker stats`-style
 //! usage for each container; the Monitor assembles them into a
-//! [`ClusterView`] — the only information an [`Autoscaler`]
-//! (see [`crate::Autoscaler`]) receives. Keeping the algorithms pure
+//! [`ClusterView`] — the only information an
+//! [`Autoscaler`](crate::Autoscaler) receives. Keeping the algorithms pure
 //! functions of this view makes them unit-testable against hand-built
 //! snapshots, exactly how the paper's equations are written.
 

@@ -37,7 +37,7 @@ mod timeseries;
 pub use availability::{AvailabilityTracker, ServiceAvailability};
 pub use cost::CostMeter;
 pub use failures::{FailureTally, RequestOutcomes};
-pub use registry::{CounterId, HistogramId, MetricsRegistry};
+pub use registry::{CounterId, MetricsRegistry};
 pub use report::{format_speedup, Table};
 pub use sla::{SlaPolicy, SlaReport};
 pub use summary::Summary;

@@ -1,25 +1,17 @@
-//! A small counters/histograms registry with deterministic ordering.
+//! A small counters registry with deterministic ordering.
 //!
-//! The simulation driver registers its counters once at setup and bumps
-//! them by index handle during the run — no hashing, no string lookups in
-//! the hot path. Snapshots iterate in registration order, so dumping the
-//! registry into a trace journal is deterministic by construction.
-
-use crate::summary::Summary;
+//! The simulation driver registers its run totals once, at the horizon,
+//! and dumps them into the trace journal. Snapshots iterate in
+//! registration order, so the dump is deterministic by construction.
 
 /// Index handle of a registered counter.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CounterId(usize);
 
-/// Index handle of a registered histogram.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HistogramId(usize);
-
-/// Named monotonic counters and sample histograms for one run.
+/// Named monotonic counters for one run.
 #[derive(Debug, Clone, Default)]
 pub struct MetricsRegistry {
     counters: Vec<(&'static str, u64)>,
-    histograms: Vec<(&'static str, Summary)>,
 }
 
 impl MetricsRegistry {
@@ -36,15 +28,6 @@ impl MetricsRegistry {
         }
         self.counters.push((name, 0));
         CounterId(self.counters.len() - 1)
-    }
-
-    /// Registers (or finds) the histogram named `name`.
-    pub fn histogram(&mut self, name: &'static str) -> HistogramId {
-        if let Some(idx) = self.histograms.iter().position(|(n, _)| *n == name) {
-            return HistogramId(idx);
-        }
-        self.histograms.push((name, Summary::new()));
-        HistogramId(self.histograms.len() - 1)
     }
 
     /// Increments a counter by one.
@@ -64,25 +47,9 @@ impl MetricsRegistry {
         self.counters[id.0].1
     }
 
-    /// Records one sample into a histogram.
-    #[inline]
-    pub fn observe(&mut self, id: HistogramId, value: f64) {
-        self.histograms[id.0].1.record(value);
-    }
-
-    /// The accumulated samples of a histogram.
-    pub fn summary(&self, id: HistogramId) -> &Summary {
-        &self.histograms[id.0].1
-    }
-
     /// All counters as `(name, value)`, in registration order.
     pub fn counters(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
         self.counters.iter().copied()
-    }
-
-    /// All histograms as `(name, summary)`, in registration order.
-    pub fn histograms(&self) -> impl Iterator<Item = (&'static str, &Summary)> {
-        self.histograms.iter().map(|(n, s)| (*n, s))
     }
 
     /// Number of registered counters.
@@ -120,19 +87,5 @@ mod tests {
         reg.inc(b);
         assert_eq!(reg.get(a), 2);
         assert_eq!(reg.counter_count(), 1);
-    }
-
-    #[test]
-    fn histograms_accumulate_samples() {
-        let mut reg = MetricsRegistry::new();
-        let h = reg.histogram("latency");
-        assert_eq!(reg.histogram("latency"), h);
-        for v in [1.0, 2.0, 3.0] {
-            reg.observe(h, v);
-        }
-        assert_eq!(reg.summary(h).count(), 3);
-        assert_eq!(reg.summary(h).mean(), 2.0);
-        let names: Vec<&str> = reg.histograms().map(|(n, _)| n).collect();
-        assert_eq!(names, vec!["latency"]);
     }
 }

@@ -3,37 +3,29 @@
 //! HyScale's resource model is a fluid-flow model: each tick (default
 //! 100 ms) the cluster advances every in-flight request by the CPU time and
 //! bytes it received during the tick. The engine owns the clock and the
-//! horizon, and hands each tick to a caller-supplied closure; discrete
-//! events (request arrivals, scaling periods) are layered on top via
-//! [`EventQueue`](crate::EventQueue) checked inside the tick body.
+//! horizon: each [`TickEngine::step`] advances the clock and returns the
+//! tick's start time and length to the caller, which runs the tick's
+//! work; discrete events (request arrivals, scaling periods) are layered
+//! on top via an [`EventQueue`](crate::EventQueue) the caller checks at
+//! the start of each tick.
 
 use crate::error::SimError;
 use crate::time::{SimDuration, SimTime};
-
-/// Outcome of a single tick, returned by the tick closure to the engine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum TickOutcome {
-    /// Keep ticking until the horizon.
-    #[default]
-    Continue,
-    /// Stop the simulation early (e.g. all work has drained).
-    Stop,
-}
 
 /// A fixed-step simulation clock with a horizon.
 ///
 /// # Example
 ///
 /// ```
-/// use hyscale_sim::{SimDuration, SimTime, TickEngine, TickOutcome};
+/// use hyscale_sim::{SimDuration, SimTime, TickEngine};
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let mut engine = TickEngine::new(SimDuration::from_millis(100), SimTime::from_secs(1.0))?;
 /// let mut ticks = 0;
-/// engine.run(|_now, _dt| {
+/// while !engine.finished() {
+///     let (_now, _dt) = engine.step()?;
 ///     ticks += 1;
-///     TickOutcome::Continue
-/// });
+/// }
 /// assert_eq!(ticks, 10);
 /// assert_eq!(engine.now(), SimTime::from_secs(1.0));
 /// # Ok(())
@@ -109,16 +101,13 @@ impl TickEngine {
         self.ticks_run = ticks_run;
     }
 
-    /// Advances one tick, invoking `body` with the tick's start time and
-    /// length (the final tick is truncated to end exactly at the horizon).
+    /// Advances one tick and returns its start time and length (the final
+    /// tick is truncated to end exactly at the horizon).
     ///
     /// # Errors
     ///
     /// Returns [`SimError::PastHorizon`] if the engine already finished.
-    pub fn step<F>(&mut self, mut body: F) -> Result<TickOutcome, SimError>
-    where
-        F: FnMut(SimTime, SimDuration) -> TickOutcome,
-    {
+    pub fn step(&mut self) -> Result<(SimTime, SimDuration), SimError> {
         if self.finished() {
             return Err(SimError::PastHorizon);
         }
@@ -131,28 +120,24 @@ impl TickEngine {
         let start = self.now;
         self.now += dt;
         self.ticks_run += 1;
-        Ok(body(start, dt))
-    }
-
-    /// Runs ticks until the horizon or until the body returns
-    /// [`TickOutcome::Stop`]. Returns the time at which the run ended.
-    pub fn run<F>(&mut self, mut body: F) -> SimTime
-    where
-        F: FnMut(SimTime, SimDuration) -> TickOutcome,
-    {
-        while !self.finished() {
-            match self.step(&mut body) {
-                Ok(TickOutcome::Continue) => {}
-                Ok(TickOutcome::Stop) | Err(_) => break,
-            }
-        }
-        self.now
+        Ok((start, dt))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Steps `e` to its horizon, collecting each tick's `(start, length)`
+    /// in microseconds.
+    fn drain(e: &mut TickEngine) -> Vec<(u64, u64)> {
+        let mut ticks = Vec::new();
+        while !e.finished() {
+            let (start, dt) = e.step().unwrap();
+            ticks.push((start.as_micros(), dt.as_micros()));
+        }
+        ticks
+    }
 
     #[test]
     fn rejects_zero_tick_and_zero_horizon() {
@@ -164,12 +149,7 @@ mod tests {
     fn runs_expected_number_of_ticks() {
         let mut e =
             TickEngine::new(SimDuration::from_millis(100), SimTime::from_secs(2.0)).unwrap();
-        let mut n = 0;
-        e.run(|_, _| {
-            n += 1;
-            TickOutcome::Continue
-        });
-        assert_eq!(n, 20);
+        assert_eq!(drain(&mut e).len(), 20);
         assert_eq!(e.ticks_run(), 20);
         assert!(e.finished());
     }
@@ -178,50 +158,24 @@ mod tests {
     fn truncates_final_partial_tick() {
         let mut e =
             TickEngine::new(SimDuration::from_millis(300), SimTime::from_millis(700)).unwrap();
-        let mut dts = Vec::new();
-        e.run(|_, dt| {
-            dts.push(dt.as_micros());
-            TickOutcome::Continue
-        });
+        let dts: Vec<u64> = drain(&mut e).into_iter().map(|(_, dt)| dt).collect();
         assert_eq!(dts, [300_000, 300_000, 100_000]);
         assert_eq!(e.now(), SimTime::from_millis(700));
-    }
-
-    #[test]
-    fn stop_halts_early() {
-        let mut e =
-            TickEngine::new(SimDuration::from_millis(100), SimTime::from_secs(10.0)).unwrap();
-        let end = e.run(|now, _| {
-            if now >= SimTime::from_millis(300) {
-                TickOutcome::Stop
-            } else {
-                TickOutcome::Continue
-            }
-        });
-        assert_eq!(end, SimTime::from_millis(400));
-        assert!(!e.finished());
     }
 
     #[test]
     fn step_past_horizon_errors() {
         let mut e =
             TickEngine::new(SimDuration::from_millis(100), SimTime::from_millis(100)).unwrap();
-        assert!(e.step(|_, _| TickOutcome::Continue).is_ok());
-        assert_eq!(
-            e.step(|_, _| TickOutcome::Continue),
-            Err(SimError::PastHorizon)
-        );
+        assert!(e.step().is_ok());
+        assert_eq!(e.step(), Err(SimError::PastHorizon));
     }
 
     #[test]
     fn tick_times_are_monotone_starts() {
         let mut e =
             TickEngine::new(SimDuration::from_millis(250), SimTime::from_secs(1.0)).unwrap();
-        let mut starts = Vec::new();
-        e.run(|t, _| {
-            starts.push(t.as_micros());
-            TickOutcome::Continue
-        });
+        let starts: Vec<u64> = drain(&mut e).into_iter().map(|(t, _)| t).collect();
         assert_eq!(starts, [0, 250_000, 500_000, 750_000]);
     }
 }

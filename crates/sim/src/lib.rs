@@ -38,7 +38,7 @@ mod rng;
 mod snapshot;
 mod time;
 
-pub use engine::{TickEngine, TickOutcome};
+pub use engine::TickEngine;
 pub use error::SimError;
 pub use events::EventQueue;
 pub use rng::SimRng;

@@ -358,6 +358,73 @@ fn resume_equivalence_with_live_resilience_state() {
     let _ = fs::remove_dir_all(&dir_cut);
 }
 
+/// Cuts two short, eventful runs at every tick boundary, so some cut
+/// lands on each kind of tick: one where a scaling period fires, one
+/// with hops queued or retries in backoff, one where a fault strikes.
+/// The resilience cell scales every second and takes a node crash at 3 s
+/// and an OOM-kill at 8 s; the cohort cell is the cohort-mode battery
+/// cut short. For each cadence `k` the reference run snapshots every `k`
+/// ticks too: each `Snapshot` event advances the journal sequence that
+/// the state digest covers.
+#[test]
+fn halt_and_resume_at_every_tick() {
+    let mut resilience = resilience_battery_config(1);
+    resilience.duration = SimDuration::from_secs(20.0);
+    resilience.scale_period = SimDuration::from_secs(1.0);
+    resilience.faults = FaultPlan::new()
+        .with(
+            3.0,
+            FaultKind::NodeCrash {
+                node: 0,
+                down_secs: 10.0,
+            },
+        )
+        .with(8.0, FaultKind::OomKill { service: 1 });
+    let mut cohort = battery_config(AlgorithmKind::HyScaleCpuMem, true, 1);
+    cohort.duration = SimDuration::from_secs(20.0);
+
+    for (tag, base) in [
+        ("every-tick-resilience", resilience),
+        ("every-tick-cohort", cohort),
+    ] {
+        let dir = scratch_dir(tag);
+        // 20 s at the 100 ms tick: ticks 1..200 are every boundary
+        // before the horizon.
+        for k in 1..200 {
+            let policy = |sub: &str, halt_after_first: bool| SnapshotPolicy {
+                every_ticks: k,
+                dir: dir.join(sub),
+                halt_after_first,
+            };
+            let mut config = base.clone();
+            config.snapshot = Some(policy("full", false));
+            let (journal_full, report_full) = journal(&config, 16_384);
+            config.snapshot = Some(policy("cut", true));
+            let (journal_cut, _) = journal(&config, 16_384);
+            config.resume = Some(first_snapshot(&config));
+            config.snapshot = Some(policy("cut", false));
+            let (journal_resumed, report_resumed) = journal(&config, 16_384);
+
+            assert!(report_full.state_digest.is_some(), "{tag}: no digest");
+            assert_eq!(
+                format!("{report_full:?}"),
+                format!("{report_resumed:?}"),
+                "{tag}: resume at tick {k} diverges from the uninterrupted run"
+            );
+            assert_eq!(
+                event_lines(&journal_full),
+                format!(
+                    "{}{}",
+                    event_lines(&journal_cut),
+                    event_lines(&journal_resumed)
+                ),
+                "{tag}: journals cut at tick {k} do not stitch into the full journal"
+            );
+            let _ = fs::remove_dir_all(&dir);
+        }
+    }
+}
+
 #[test]
 fn resume_across_different_worker_counts() {
     // A snapshot taken under a serial run must resume bit-identically
