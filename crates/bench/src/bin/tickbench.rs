@@ -3,22 +3,20 @@
 //! Drives a synthetic 24-node / 15-service cluster in a busy steady state
 //! (every node ~90% CPU-loaded, modest egress) through `Cluster::advance`
 //! alone — no autoscaler, no load balancer — so the numbers isolate the
-//! simulation hot loop. Four sections:
+//! simulation hot loop. Five sections:
 //!
-//! 1. **Request mode** — the legacy per-request object path: one
-//!    `Request` per container per tick, swept across worker counts
-//!    {1, 2, 4, 8} with a serial bit-identity check.
+//! 1. **Request mode** — the per-request path: one `Request` per
+//!    container per tick.
 //! 2. **Cohort mode** — the flow-cohort hot path: one 64-member cohort
 //!    per container per tick carries the same CPU load as request mode
-//!    but moves 64x the members per record, swept and digest-checked the
-//!    same way. Its parallel requests/sec is the headline figure.
+//!    but moves 64x the members per record. Its requests/sec is the
+//!    headline figure.
 //! 3. **Ramp mode** — offered-rps staircase
 //!    (`--initial-rps/--increment-rps/--max-rps`): each step drives a
 //!    fresh cluster at a fixed offered rate and the saturation knee is
 //!    the last step that completed >= 95% of what was offered.
 //! 4. **Million users** — 96 containers x 11,000-member cohorts put
-//!    1,056,000 concurrent members in flight, drained to empty serially
-//!    and in parallel with digests compared.
+//!    1,056,000 concurrent members in flight, drained to empty.
 //! 5. **Scale sweep** — total node count sweeps 24 / 240 / 2400 / 10000
 //!    while the traffic footprint stays pinned to (a fraction of) the
 //!    first 24 nodes: with the active-set engine, per-tick cost tracks
@@ -26,15 +24,16 @@
 //!    tick within `SCALE_GATE_FLOOR` of the 24-node rate.
 //!
 //! Results land in `BENCH_tick.json`; the top-level `requests_per_sec`
-//! and `bit_identical` fields summarize the cohort headline and the
-//! cross-worker digest checks across every section.
+//! field is the cohort headline. Each timed section also records an
+//! order-sensitive digest of its completions (`checksum`), which changes
+//! only when the engine's arithmetic or ordering does.
 //!
 //! Usage: `cargo run --release -p hyscale-bench --bin tickbench [-- flags]`
 //!
 //! * `--smoke` — CI scale: fewer measured ticks, same assertions.
-//! * `--gate`  — regression gate: fail if parallel(4) tick throughput
-//!   falls below this machine's floor (see `gate_floor`) or the cohort
-//!   path stops beating request mode by at least `COHORT_GATE_FACTOR`.
+//! * `--gate`  — regression gate: fail if the cohort path stops beating
+//!   request mode by at least `COHORT_GATE_FACTOR`, or if the scale
+//!   sweep stops being sub-linear (see `scale_gate`).
 //! * `--million-only` — run only the million-user section (CI smoke).
 //! * `--nodes N` — run *only* the scale sweep, over {24, N}, leaving
 //!   `BENCH_tick.json` untouched (CI uses `--smoke --nodes 2400 --gate`);
@@ -55,10 +54,8 @@ use hyscale_sim::{SimDuration, SimRng, SimTime};
 const NODES: usize = 24;
 const SERVICES: usize = 15;
 const CONTAINERS_PER_NODE: usize = 4;
-const WORKER_SWEEP: [usize; 4] = [1, 2, 4, 8];
-const HEADLINE_WORKERS: usize = 4;
 
-/// Members per cohort in the cohort-mode sweep. Per-member CPU demand is
+/// Members per cohort in cohort mode. Per-member CPU demand is
 /// request mode's divided by this, so both modes run the nodes at the
 /// same ~90% utilization while cohort mode moves 64x the members.
 const COHORT_MEMBERS: u64 = 64;
@@ -74,9 +71,9 @@ const BASELINE_TICKS_PER_SEC: f64 = 1480.0;
 /// The cohort hot path's acceptance bar is >= 10x this figure there.
 const BASELINE_REQUESTS_PER_SEC: f64 = 162_560.0;
 
-/// Hardware-aware cohort gate: cohort-mode parallel throughput must beat
-/// the *same run's* request-mode serial throughput by at least this
-/// factor, whatever the machine (the 10x reference-hardware target gives
+/// Hardware-aware cohort gate: cohort-mode throughput must beat the
+/// *same run's* request-mode throughput by at least this factor,
+/// whatever the machine (the 10x reference-hardware target gives
 /// plenty of margin; 5x catches a broken columnar path anywhere).
 const COHORT_GATE_FACTOR: f64 = 5.0;
 
@@ -97,24 +94,18 @@ const SCALE_SWEEP_NODES: [usize; 4] = [24, 240, 2_400, 10_000];
 /// while absorbing cache and allocator noise.
 const SCALE_GATE_FLOOR: f64 = 0.5;
 
-/// Largest swept cluster the sub-linearity gate is enforced at (and
-/// where the serial-vs-parallel digest spot check runs).
+/// Largest swept cluster the sub-linearity gate is enforced at.
 const SCALE_GATE_SPAN_NODES: usize = 2_400;
 
 /// The 24-node / 15-service steady-state scenario: four replicas per node,
 /// services striped round-robin across the replica grid.
-fn build_cluster(parallelism: usize, queue_cap: usize) -> (Cluster, Vec<ContainerId>) {
-    build_cluster_n(NODES, parallelism, queue_cap)
+fn build_cluster(queue_cap: usize) -> (Cluster, Vec<ContainerId>) {
+    build_cluster_n(NODES, queue_cap)
 }
 
 /// The same replica grid at an arbitrary node count (scale sweep).
-fn build_cluster_n(
-    nodes: usize,
-    parallelism: usize,
-    queue_cap: usize,
-) -> (Cluster, Vec<ContainerId>) {
+fn build_cluster_n(nodes: usize, queue_cap: usize) -> (Cluster, Vec<ContainerId>) {
     let mut cluster = Cluster::new(ClusterConfig::default());
-    cluster.set_parallelism(parallelism);
     let mut containers = Vec::new();
     for n in 0..nodes {
         let node = cluster.add_node(NodeSpec::uniform_worker());
@@ -161,15 +152,13 @@ impl Latency {
     }
 }
 
-/// Result of driving one engine configuration through the scenario.
+/// Result of driving the engine through one scenario.
 struct RunOutcome {
-    workers: usize,
     ticks_per_sec: f64,
     requests_per_sec: f64,
     latency: Latency,
     /// Order-sensitive digest of every completion (id, member count,
-    /// response time): two configurations are bit-identical iff digests
-    /// match.
+    /// response time): two runs are bit-identical iff digests match.
     checksum: u64,
 }
 
@@ -188,18 +177,11 @@ fn fold_completions(report: &TickReport, checksum: &mut u64) -> u64 {
     members
 }
 
-/// Drives one configuration: `warmup_ticks` un-timed ticks admit load,
-/// fill queues to steady state, and — crucially for the parallel runs —
-/// spin the persistent worker pool up and through its first epochs, so
-/// thread creation and first-touch page faults never land inside the
-/// timed window. Then `measured_ticks` are timed.
-fn drive(
-    parallelism: usize,
-    warmup_ticks: usize,
-    measured_ticks: usize,
-    cohorts: bool,
-) -> RunOutcome {
-    let (mut cluster, containers) = build_cluster(parallelism, 1024);
+/// Drives one mode: `warmup_ticks` un-timed ticks admit load and fill
+/// queues to steady state, so first-touch page faults never land inside
+/// the timed window. Then `measured_ticks` are timed.
+fn drive(label: &str, warmup_ticks: usize, measured_ticks: usize, cohorts: bool) -> RunOutcome {
+    let (mut cluster, containers) = build_cluster(1024);
     let mut rng = SimRng::seed_from(0x71C2);
     let dt = SimDuration::from_millis(100);
     let mut now = SimTime::ZERO;
@@ -264,15 +246,13 @@ fn drive(
     let elapsed = start.elapsed().as_secs_f64();
 
     let outcome = RunOutcome {
-        workers: parallelism,
         ticks_per_sec: measured_ticks as f64 / elapsed,
         requests_per_sec: completed as f64 / elapsed,
         latency: Latency::from_ns(&mut tick_ns),
         checksum,
     };
     println!(
-        "  workers={:<2} {:>10.0} ticks/s {:>12.0} req/s  p50 {:>7.1}us p95 {:>7.1}us p99 {:>7.1}us max {:>8.1}us  (checksum {:016x})",
-        outcome.workers,
+        "{label}:\n  {:>10.0} ticks/s {:>12.0} req/s  p50 {:>7.1}us p95 {:>7.1}us p99 {:>7.1}us max {:>8.1}us  (checksum {:016x})",
         outcome.ticks_per_sec,
         outcome.requests_per_sec,
         outcome.latency.p50,
@@ -282,31 +262,6 @@ fn drive(
         outcome.checksum
     );
     outcome
-}
-
-/// Sweeps one mode across the worker counts and asserts every
-/// configuration's completion digest matches serial.
-fn sweep(
-    label: &str,
-    warmup_ticks: usize,
-    measured_ticks: usize,
-    cohorts: bool,
-) -> Vec<RunOutcome> {
-    println!("{label}:");
-    let outcomes: Vec<RunOutcome> = WORKER_SWEEP
-        .iter()
-        .map(|&w| drive(w, warmup_ticks, measured_ticks, cohorts))
-        .collect();
-    let serial = &outcomes[0];
-    for o in &outcomes[1..] {
-        assert_eq!(
-            serial.checksum, o.checksum,
-            "{label}: parallel engine diverged from serial at {} workers",
-            o.workers
-        );
-    }
-    println!("  all worker counts are bit-identical to serial");
-    outcomes
 }
 
 /// One step of the offered-rps staircase.
@@ -341,7 +296,7 @@ fn ramp(
     let mut knee = 0.0f64;
     let mut offered = initial_rps;
     while offered <= max_rps + 1e-9 {
-        let (mut cluster, containers) = build_cluster(HEADLINE_WORKERS, 4096);
+        let (mut cluster, containers) = build_cluster(4096);
         let mut report = TickReport::default();
         let mut now = SimTime::ZERO;
         let members_per_tick = (offered * dt_secs).round().max(1.0) as u64;
@@ -409,8 +364,13 @@ struct MillionOutcome {
 /// Fills 96 wide-queue containers with 11,000-member cohorts (1,056,000
 /// concurrent in-flight members), then drains the cluster to empty,
 /// digesting every completion.
-fn million_drain(parallelism: usize) -> MillionOutcome {
-    let (mut cluster, containers) = build_cluster(parallelism, 16_384);
+fn million_users() -> MillionOutcome {
+    println!(
+        "million_users: {} containers x {} members",
+        NODES * CONTAINERS_PER_NODE,
+        MILLION_MEMBERS_PER_CONTAINER
+    );
+    let (mut cluster, containers) = build_cluster(16_384);
     let dt = SimDuration::from_millis(100);
     let mut now = SimTime::ZERO;
     let mut report = TickReport::default();
@@ -466,8 +426,7 @@ fn million_drain(parallelism: usize) -> MillionOutcome {
         checksum,
     };
     println!(
-        "  workers={:<2} {:>7} members in flight, drained in {} ticks ({:.2}s wall, {:>12.0} req/s, checksum {:016x})",
-        parallelism,
+        "  {:>7} members in flight, drained in {} ticks ({:.2}s wall, {:>12.0} req/s, checksum {:016x})",
         outcome.peak_in_flight,
         outcome.drain_ticks,
         elapsed,
@@ -475,25 +434,6 @@ fn million_drain(parallelism: usize) -> MillionOutcome {
         outcome.checksum
     );
     outcome
-}
-
-/// Runs the million-user scenario serially and at the headline worker
-/// count, asserting digest identity. Returns the parallel outcome.
-fn million_users() -> MillionOutcome {
-    println!(
-        "million_users: {} containers x {} members",
-        NODES * CONTAINERS_PER_NODE,
-        MILLION_MEMBERS_PER_CONTAINER
-    );
-    let serial = million_drain(1);
-    let parallel = million_drain(HEADLINE_WORKERS);
-    assert_eq!(
-        serial.checksum, parallel.checksum,
-        "million-user drain diverged between serial and parallel"
-    );
-    assert_eq!(serial.drain_ticks, parallel.drain_ticks);
-    println!("  serial and parallel drains are bit-identical");
-    parallel
 }
 
 /// One point of the node-count scale sweep.
@@ -511,7 +451,6 @@ struct ScalePoint {
 fn scale_drive(
     nodes: usize,
     footprint: usize,
-    parallelism: usize,
     warmup_ticks: usize,
     measured_ticks: usize,
 ) -> RunOutcome {
@@ -519,7 +458,7 @@ fn scale_drive(
         footprint <= nodes,
         "traffic footprint cannot exceed the cluster"
     );
-    let (mut cluster, containers) = build_cluster_n(nodes, parallelism, 1024);
+    let (mut cluster, containers) = build_cluster_n(nodes, 1024);
     let mut rng = SimRng::seed_from(0x5CA1E);
     let dt = SimDuration::from_millis(100);
     let mut now = SimTime::ZERO;
@@ -567,16 +506,14 @@ fn scale_drive(
     let elapsed = start.elapsed().as_secs_f64();
 
     let outcome = RunOutcome {
-        workers: parallelism,
         ticks_per_sec: measured_ticks as f64 / elapsed,
         requests_per_sec: completed as f64 / elapsed,
         latency: Latency::from_ns(&mut tick_ns),
         checksum,
     };
     println!(
-        "  nodes={:<6} workers={:<2} {:>9.0} ticks/s {:>12.0} req/s  p50 {:>7.1}us p99 {:>7.1}us  (checksum {:016x})",
+        "  nodes={:<6} {:>9.0} ticks/s {:>12.0} req/s  p50 {:>7.1}us p99 {:>7.1}us  (checksum {:016x})",
         nodes,
-        outcome.workers,
         outcome.ticks_per_sec,
         outcome.requests_per_sec,
         outcome.latency.p50,
@@ -593,8 +530,7 @@ fn footprint_nodes(active_fraction: f64) -> usize {
 }
 
 /// Sweeps total cluster size at a fixed traffic footprint, measuring
-/// serial ticks/s per point, and spot-checks serial-vs-parallel digest
-/// identity at the largest gated point.
+/// ticks/s per point.
 fn scale_sweep(node_counts: &[usize], active_fraction: f64, smoke: bool) -> Vec<ScalePoint> {
     let footprint = footprint_nodes(active_fraction);
     let (warmup_ticks, measured_ticks) = if smoke { (300, 3_000) } else { (500, 10_000) };
@@ -602,39 +538,13 @@ fn scale_sweep(node_counts: &[usize], active_fraction: f64, smoke: bool) -> Vec<
         "scale sweep: footprint {footprint} of 24 nodes (active fraction {active_fraction}), \
          {measured_ticks} ticks per point"
     );
-    let points: Vec<ScalePoint> = node_counts
+    node_counts
         .iter()
         .map(|&nodes| ScalePoint {
             nodes,
-            outcome: scale_drive(nodes, footprint, 1, warmup_ticks, measured_ticks),
+            outcome: scale_drive(nodes, footprint, warmup_ticks, measured_ticks),
         })
-        .collect();
-
-    // Digest spot check: the biggest gated cluster must tick
-    // bit-identically under the pooled engine.
-    if let Some(p) = points
-        .iter()
-        .filter(|p| p.nodes > NODES && p.nodes <= SCALE_GATE_SPAN_NODES)
-        .max_by_key(|p| p.nodes)
-    {
-        let parallel = scale_drive(
-            p.nodes,
-            footprint,
-            HEADLINE_WORKERS,
-            warmup_ticks,
-            measured_ticks,
-        );
-        assert_eq!(
-            p.outcome.checksum, parallel.checksum,
-            "scale sweep: {} nodes diverged between serial and {HEADLINE_WORKERS} workers",
-            p.nodes
-        );
-        println!(
-            "  {}-node point is bit-identical at {HEADLINE_WORKERS} workers",
-            p.nodes
-        );
-    }
-    points
+        .collect()
 }
 
 /// Sub-linearity gate: every swept cluster up to `SCALE_GATE_SPAN_NODES`
@@ -661,21 +571,6 @@ fn scale_gate(points: &[ScalePoint]) {
             "  scale gate: {} nodes at {ratio:.2}x the {NODES}-node rate (floor {SCALE_GATE_FLOOR:.2}x)",
             p.nodes
         );
-    }
-}
-
-/// The lowest acceptable parallel(4)/serial throughput ratio for a
-/// machine with `hardware_threads` cores. With 4+ cores the persistent
-/// pool must win outright; with fewer, parallel cannot beat serial in
-/// wall-clock, but the pool's park/unpark handoff must still stay close —
-/// the spawn-per-tick engine this PR replaces measured 0.72x on one
-/// core, so 0.80 catches that regression while absorbing timeshare
-/// jitter.
-fn gate_floor(hardware_threads: usize) -> f64 {
-    match hardware_threads {
-        0 | 1 => 0.80,
-        2 | 3 => 0.95,
-        _ => 1.0,
     }
 }
 
@@ -752,39 +647,16 @@ fn main() {
         if smoke { " [smoke]" } else { "" }
     );
 
-    let request_outcomes = sweep("request mode", warmup_ticks, measured_ticks, false);
-    let cohort_outcomes = sweep("cohort mode", warmup_ticks, measured_ticks, true);
+    let request = drive("request mode", warmup_ticks, measured_ticks, false);
+    let cohort = drive("cohort mode", warmup_ticks, measured_ticks, true);
 
-    let serial = &request_outcomes[0];
-    let parallel = request_outcomes
-        .iter()
-        .find(|o| o.workers == HEADLINE_WORKERS)
-        .expect("sweep includes the headline worker count");
-    let cohort_serial = &cohort_outcomes[0];
-    let cohort_parallel = cohort_outcomes
-        .iter()
-        .find(|o| o.workers == HEADLINE_WORKERS)
-        .expect("sweep includes the headline worker count");
-
-    let speedup_parallel = parallel.ticks_per_sec / serial.ticks_per_sec;
-    // On boxes with fewer cores than workers the serial engine wins;
-    // track the trajectory against the best configuration either way.
-    let best = request_outcomes
-        .iter()
-        .map(|o| o.ticks_per_sec)
-        .fold(f64::MIN, f64::max);
-    let speedup_vs_baseline = best / BASELINE_TICKS_PER_SEC;
-    // Best of the cohort sweep: on boxes with fewer cores than the
-    // headline worker count the serial configuration wins wall-clock.
-    let headline_rps = cohort_outcomes
-        .iter()
-        .map(|o| o.requests_per_sec)
-        .fold(f64::MIN, f64::max);
-    let cohort_vs_request = headline_rps / serial.requests_per_sec;
+    let speedup_vs_baseline = request.ticks_per_sec / BASELINE_TICKS_PER_SEC;
+    let headline_rps = cohort.requests_per_sec;
+    let cohort_vs_request = headline_rps / request.requests_per_sec;
     let cohort_vs_baseline = headline_rps / BASELINE_REQUESTS_PER_SEC;
     println!(
-        "speedup: {speedup_parallel:.2}x parallel({HEADLINE_WORKERS}) over serial ticks, \
-         {speedup_vs_baseline:.2}x over pre-rework baseline ({BASELINE_TICKS_PER_SEC:.0} ticks/s)"
+        "request mode: {speedup_vs_baseline:.2}x the pre-rework baseline \
+         ({BASELINE_TICKS_PER_SEC:.0} ticks/s)"
     );
     println!(
         "cohort hot path: {headline_rps:.0} req/s = {cohort_vs_request:.1}x this machine's \
@@ -803,44 +675,31 @@ fn main() {
 
     if gate {
         scale_gate(&scale_points);
-        let floor = gate_floor(hardware_threads);
-        assert!(
-            speedup_parallel >= floor,
-            "throughput gate: parallel({HEADLINE_WORKERS}) is {speedup_parallel:.2}x serial, \
-             below the {floor:.2}x floor for {hardware_threads} hardware thread(s) — \
-             per-tick handoff overhead has regressed"
-        );
         assert!(
             cohort_vs_request >= COHORT_GATE_FACTOR,
             "cohort gate: {headline_rps:.0} req/s is only {cohort_vs_request:.2}x this \
-             machine's request-mode serial ({:.0} req/s); the columnar hot path must stay \
+             machine's request mode ({:.0} req/s); the columnar hot path must stay \
              >= {COHORT_GATE_FACTOR:.1}x",
-            serial.requests_per_sec
+            request.requests_per_sec
         );
         println!(
-            "throughput gates passed ({speedup_parallel:.2}x >= {floor:.2}x floor, \
-             cohort {cohort_vs_request:.1}x >= {COHORT_GATE_FACTOR:.1}x)"
+            "throughput gates passed (cohort {cohort_vs_request:.1}x >= {COHORT_GATE_FACTOR:.1}x)"
         );
     }
 
-    let sweep_json = |outcomes: &[RunOutcome]| -> String {
-        outcomes
-            .iter()
-            .map(|o| {
-                format!(
-                    "      {{ \"workers\": {}, \"ticks_per_sec\": {:.1}, \"requests_per_sec\": {:.1}, \
-                     \"tick_latency_us\": {{ \"p50\": {:.1}, \"p95\": {:.1}, \"p99\": {:.1}, \"max\": {:.1} }} }}",
-                    o.workers,
-                    o.ticks_per_sec,
-                    o.requests_per_sec,
-                    o.latency.p50,
-                    o.latency.p95,
-                    o.latency.p99,
-                    o.latency.max,
-                )
-            })
-            .collect::<Vec<_>>()
-            .join(",\n")
+    let mode_json = |o: &RunOutcome| -> String {
+        format!(
+            "\"ticks_per_sec\": {:.1},\n    \"requests_per_sec\": {:.1},\n    \
+             \"tick_latency_us\": {{ \"p50\": {:.1}, \"p95\": {:.1}, \"p99\": {:.1}, \"max\": {:.1} }},\n    \
+             \"checksum\": \"{:016x}\"",
+            o.ticks_per_sec,
+            o.requests_per_sec,
+            o.latency.p50,
+            o.latency.p95,
+            o.latency.p99,
+            o.latency.max,
+            o.checksum,
+        )
     };
     let scale_base_tps = scale_points
         .iter()
@@ -874,42 +733,29 @@ fn main() {
          \"baseline_ticks_per_sec\": {BASELINE_TICKS_PER_SEC:.1},\n  \
          \"baseline_requests_per_sec\": {BASELINE_REQUESTS_PER_SEC:.1},\n  \
          \"hardware_threads\": {hardware_threads},\n  \
-         \"request_mode\": {{\n    \"sweep\": [\n{}\n    ],\n    \
-         \"serial\": {{ \"ticks_per_sec\": {:.1}, \"requests_per_sec\": {:.1} }},\n    \
-         \"parallel\": {{ \"workers\": {HEADLINE_WORKERS}, \"ticks_per_sec\": {:.1}, \"requests_per_sec\": {:.1} }}\n  }},\n  \
-         \"cohort_mode\": {{\n    \"members_per_cohort\": {COHORT_MEMBERS},\n    \"sweep\": [\n{}\n    ],\n    \
-         \"serial\": {{ \"ticks_per_sec\": {:.1}, \"requests_per_sec\": {:.1} }},\n    \
-         \"parallel\": {{ \"workers\": {HEADLINE_WORKERS}, \"ticks_per_sec\": {:.1}, \"requests_per_sec\": {:.1} }}\n  }},\n  \
+         \"request_mode\": {{\n    {}\n  }},\n  \
+         \"cohort_mode\": {{\n    \"members_per_cohort\": {COHORT_MEMBERS},\n    {}\n  }},\n  \
          \"ramp\": {{\n    \"initial_rps\": {initial_rps:.0},\n    \"increment_rps\": {increment_rps:.0},\n    \
          \"max_rps\": {max_rps:.0},\n    \"ticks_per_step\": {ramp_measured},\n    \
          \"saturation_knee_rps\": {knee_rps:.0},\n    \"steps\": [\n{}\n    ]\n  }},\n  \
          \"million_users\": {{\n    \"containers\": {},\n    \"members_per_container\": {MILLION_MEMBERS_PER_CONTAINER},\n    \
          \"peak_in_flight\": {},\n    \"drain_ticks\": {},\n    \"requests_per_sec\": {:.1},\n    \
-         \"bit_identical\": true\n  }},\n  \
+         \"checksum\": \"{:016x}\"\n  }},\n  \
          \"scale_sweep\": {{\n    \"footprint_nodes\": {},\n    \"active_fraction\": {active_fraction:.2},\n    \
-         \"workers\": 1,\n    \"sublinear_gate_floor\": {SCALE_GATE_FLOOR:.2},\n    \
-         \"gate_span_nodes\": {SCALE_GATE_SPAN_NODES},\n    \"bit_identical\": true,\n    \
+         \"sublinear_gate_floor\": {SCALE_GATE_FLOOR:.2},\n    \
+         \"gate_span_nodes\": {SCALE_GATE_SPAN_NODES},\n    \
          \"points\": [\n{}\n    ]\n  }},\n  \
          \"requests_per_sec\": {headline_rps:.1},\n  \
-         \"bit_identical\": true,\n  \
-         \"speedup_parallel_vs_serial\": {speedup_parallel:.2},\n  \
          \"speedup_vs_baseline\": {speedup_vs_baseline:.2},\n  \
          \"speedup_requests_vs_baseline\": {cohort_vs_baseline:.2}\n}}\n",
-        sweep_json(&request_outcomes),
-        serial.ticks_per_sec,
-        serial.requests_per_sec,
-        parallel.ticks_per_sec,
-        parallel.requests_per_sec,
-        sweep_json(&cohort_outcomes),
-        cohort_serial.ticks_per_sec,
-        cohort_serial.requests_per_sec,
-        cohort_parallel.ticks_per_sec,
-        cohort_parallel.requests_per_sec,
+        mode_json(&request),
+        mode_json(&cohort),
         ramp_json.join(",\n"),
         NODES * CONTAINERS_PER_NODE,
         million.peak_in_flight,
         million.drain_ticks,
         million.requests_per_sec,
+        million.checksum,
         footprint_nodes(active_fraction),
         scale_json.join(",\n"),
     );

@@ -1,7 +1,6 @@
 //! Trace-journal determinism gate and journal generator: replays the
 //! chaos benchmark scenario with an enabled trace sink, proves the JSONL
-//! journal is byte-identical serial vs node-parallel and across repeated
-//! seeded runs — likewise for the graph scenario's journal, which adds
+//! journal is byte-identical across repeated seeded runs — likewise for the graph scenario's journal, which adds
 //! per-hop span events — then writes `TRACE_journal.jsonl` /
 //! `TRACE_journal.csv` / `TRACE_graph.jsonl` and prints the event-kind
 //! census.
@@ -54,28 +53,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let mut config = chaos(&scale, AlgorithmKind::HyScaleCpu);
     config.seed = scale.seeds[0];
-    config.parallelism = 1;
 
-    // Gate 1: the journal is byte-identical serial vs node-parallel.
-    let (sink, serial) = traced_journal(&config)?;
-    let mut wide = config.clone();
-    wide.parallelism = 4;
-    let (_, parallel) = traced_journal(&wide)?;
-    assert_eq!(
-        serial, parallel,
-        "trace journal diverged between serial and parallelism(4)"
-    );
-    println!("[determinism: serial == parallelism(4), byte-identical JSONL]");
-
-    // Gate 2: repeating the seeded run reproduces the journal exactly.
+    // Gate 1: repeating the seeded run reproduces the journal exactly.
+    let (sink, journal) = traced_journal(&config)?;
     let (_, again) = traced_journal(&config)?;
-    assert_eq!(serial, again, "trace journal diverged across repeated runs");
+    assert_eq!(
+        journal, again,
+        "trace journal diverged across repeated runs"
+    );
     println!(
         "[determinism: repeated seed {} run, byte-identical JSONL]",
         config.seed
     );
 
-    // Gate 3: tracing does not perturb the simulation.
+    // Gate 2: tracing does not perturb the simulation.
     let untraced = SimulationDriver::run(&config)?;
     let mut disabled = TraceSink::disabled();
     let traced = SimulationDriver::run_traced(&config, &mut disabled)?;
@@ -86,19 +77,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     println!("[isolation: traced and untraced reports are bit-identical]");
 
-    // Gate 4: the graph scenario's journal — which adds per-hop span
-    // events — is also byte-identical serial vs node-parallel, and
+    // Gate 3: the graph scenario's journal — which adds per-hop span
+    // events — is also byte-identical across repeated runs, and
     // actually contains spans.
     let mut graph_config = graph(&scale, AlgorithmKind::HyScaleCpu);
     graph_config.seed = scale.seeds[0];
-    graph_config.parallelism = 1;
-    let (graph_sink, graph_serial) = traced_journal(&graph_config)?;
-    let mut graph_wide = graph_config.clone();
-    graph_wide.parallelism = 4;
-    let (_, graph_parallel) = traced_journal(&graph_wide)?;
+    let (graph_sink, graph_journal) = traced_journal(&graph_config)?;
+    let (_, graph_again) = traced_journal(&graph_config)?;
     assert_eq!(
-        graph_serial, graph_parallel,
-        "graph trace journal diverged between serial and parallelism(4)"
+        graph_journal, graph_again,
+        "graph trace journal diverged across repeated runs"
     );
     let spans = graph_sink
         .events()
@@ -107,9 +95,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     assert!(spans > 0, "graph journal carries no span events");
     println!("[determinism: graph journal byte-identical, {spans} spans]");
 
-    std::fs::write("TRACE_journal.jsonl", &serial)?;
+    std::fs::write("TRACE_journal.jsonl", &journal)?;
     std::fs::write("TRACE_journal.csv", export::csv(&sink))?;
-    std::fs::write("TRACE_graph.jsonl", &graph_serial)?;
+    std::fs::write("TRACE_graph.jsonl", &graph_journal)?;
     println!("wrote TRACE_journal.jsonl + TRACE_journal.csv + TRACE_graph.jsonl");
 
     let mut census: BTreeMap<&'static str, u64> = BTreeMap::new();

@@ -51,9 +51,6 @@ pub struct Scale {
     pub duration_secs: f64,
     /// Seeds to average over (paper: 5 runs).
     pub seeds: Vec<u64>,
-    /// Tick-engine worker threads (bit-identical at any setting; only
-    /// wall-clock time changes).
-    pub parallelism: usize,
 }
 
 impl Scale {
@@ -64,7 +61,6 @@ impl Scale {
             services: 15,
             duration_secs: 3600.0,
             seeds: PAPER_SEEDS.to_vec(),
-            parallelism: 4,
         }
     }
 
@@ -75,7 +71,6 @@ impl Scale {
             services: 6,
             duration_secs: 1200.0,
             seeds: vec![101, 202, 303],
-            parallelism: 2,
         }
     }
 
@@ -86,7 +81,6 @@ impl Scale {
             services: 3,
             duration_secs: 300.0,
             seeds: vec![101],
-            parallelism: 1,
         }
     }
 
@@ -145,7 +139,6 @@ pub fn cpu_bound(scale: &Scale, burst: Burst, algorithm: AlgorithmKind) -> Scena
     let mut builder = ScenarioBuilder::new(format!("fig6-{}-{algorithm}", burst.label()))
         .nodes(scale.nodes)
         .duration_secs(scale.duration_secs)
-        .parallelism(scale.parallelism)
         .algorithm(algorithm);
     for (i, weight) in weights.iter().enumerate() {
         let mut spec =
@@ -175,7 +168,6 @@ pub fn mixed(scale: &Scale, burst: Burst, algorithm: AlgorithmKind) -> ScenarioC
     let mut builder = ScenarioBuilder::new(format!("fig7-{}-{algorithm}", burst.label()))
         .nodes(scale.nodes)
         .duration_secs(scale.duration_secs)
-        .parallelism(scale.parallelism)
         .algorithm(algorithm);
     for (i, weight) in weights.iter().enumerate() {
         let mut spec =
@@ -225,7 +217,6 @@ pub fn network(scale: &Scale, burst: Burst, algorithm: AlgorithmKind) -> Scenari
     let mut builder = ScenarioBuilder::new(format!("fig8-{}-{algorithm}", burst.label()))
         .nodes_with_spec(scale.nodes, NodeSpec::uniform_worker().with_nic(Mbps(nic)))
         .duration_secs(scale.duration_secs)
-        .parallelism(scale.parallelism)
         .algorithm(algorithm);
     let weights = service_weights(scale.services);
     for (i, weight) in weights.iter().enumerate() {
@@ -413,7 +404,6 @@ pub fn bitbrains(scale: &Scale, algorithm: AlgorithmKind) -> ScenarioConfig {
     let mut builder = ScenarioBuilder::new(format!("fig10-{algorithm}"))
         .nodes(scale.nodes)
         .duration_secs(scale.duration_secs)
-        .parallelism(scale.parallelism)
         .algorithm(algorithm);
     for i in 0..scale.services {
         let slice: Vec<_> = traces.iter().skip(i).step_by(scale.services).collect();

@@ -11,21 +11,14 @@
 //!   per-service replica table is a flat `Vec<u32>` indexed by service id;
 //!   nodes that are fully idle take a closed-form fast path that skips the
 //!   allocators entirely.
-//! * **Deterministic node parallelism.** Container state is partitioned
-//!   per node ([`Node`] owns its containers), so a tick can fan the
-//!   per-node work out across threads. [`Cluster::set_parallelism`] spawns
-//!   a persistent [`WorkerPool`] (`hyscale-exec`): workers park between
-//!   ticks and are woken per tick with an epoch bump — no per-tick thread
-//!   creation. Nodes are cut into contiguous, container-weighted ranges
-//!   (`partition::weighted_partition`); each worker owns one range plus
-//!   its own scratch, and worker outputs are merged in partition order —
-//!   which is node order — so results are bit-identical to the serial
-//!   engine at any worker count.
+//! * **Per-node ticks.** Container state is partitioned per node
+//!   ([`Node`] owns its containers), and `advance_node` is a pure function
+//!   of one `&mut Node` plus read-only tick inputs. A tick visits nodes in
+//!   node order on the calling thread, which fixes the order of every
+//!   completion and failure in the report.
 
 use std::collections::BTreeSet;
-use std::ops::Range;
 
-use hyscale_exec::WorkerPool;
 use hyscale_sim::{SimDuration, SimTime, SnapReader, SnapWriter, SnapshotError};
 
 use crate::cohort::{Cohort, Flow};
@@ -62,11 +55,6 @@ impl Default for ClusterConfig {
         }
     }
 }
-
-/// Below this much total tick weight per worker the pool handoff costs
-/// more than the tick itself; `advance` then runs the tick on the calling
-/// thread (see [`Cluster::serial_fallback_ticks`]).
-const SERIAL_FALLBACK_WEIGHT: u64 = 1024;
 
 use crate::overhead::OverheadModel;
 
@@ -109,7 +97,7 @@ struct ContainerLoc {
     slot: u32,
 }
 
-/// Reusable per-worker buffers for [`advance_node`]: every per-tick vector
+/// Reusable buffers for [`advance_node`]: every per-tick vector
 /// the hot loop needs, allocated once and recycled each tick so the steady
 /// state performs no heap allocation.
 #[derive(Debug, Clone, Default)]
@@ -139,13 +127,9 @@ struct TickScratch {
     /// Water-filling work list shared by the CPU and disk allocators.
     outstanding: Vec<(usize, f64)>,
     net_scratch: NetScratch,
-    /// Completions staged per worker, merged into the report in node order.
-    completed: Vec<CompletedRequest>,
-    /// Failures staged per worker, merged into the report in node order.
-    failed: Vec<FailedRequest>,
 }
 
-/// Immutable per-tick inputs shared (read-only) by every node worker.
+/// Immutable per-tick inputs shared (read-only) by every node's advance.
 struct TickCtx<'a> {
     config: &'a ClusterConfig,
     mem_model: &'a MemoryModel,
@@ -157,21 +141,6 @@ struct TickCtx<'a> {
     now: SimTime,
     end: SimTime,
     dt_secs: f64,
-    /// Test hook ([`Cluster::inject_tick_panic`]): node whose advance
-    /// panics. `None` in production.
-    poison: Option<NodeId>,
-}
-
-/// Ticks one node, honouring the panic-injection test hook. This is the
-/// unit of work a pool job executes per node. Returns `true` when the
-/// node is park-eligible: the tick took the idle closed form (or had no
-/// live slots) and every slot is past its startup, so every future tick
-/// is the same closed form until something external changes.
-fn tick_node(node: &mut Node, ctx: &TickCtx<'_>, scratch: &mut TickScratch) -> bool {
-    if ctx.poison == Some(node.id()) {
-        panic!("injected tick panic on node {:?}", node.id());
-    }
-    advance_node(node, ctx, scratch)
 }
 
 /// The simulated cluster: nodes, containers, and in-flight work.
@@ -186,7 +155,7 @@ fn tick_node(node: &mut Node, ctx: &TickCtx<'_>, scratch: &mut TickScratch) -> b
 /// * [`Cluster::admit_request`] — a load balancer handing a request to a
 ///   replica,
 /// * [`Cluster::advance`] — physics: one tick of CPU/memory/network flow.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Cluster {
     config: ClusterConfig,
     nodes: Vec<Node>,
@@ -199,25 +168,10 @@ pub struct Cluster {
     request_ids: IdAllocator,
     mem_model: MemoryModel,
     net_alloc: NetAllocator,
-    /// How many OS threads a tick may use (1 = serial).
-    parallelism: usize,
-    /// One scratch buffer per worker.
-    scratch: Vec<TickScratch>,
+    /// Reused per-tick buffers.
+    scratch: TickScratch,
     /// Reused per-tick replica table, indexed by service id.
     replica_counts: Vec<u32>,
-    /// Reused per-tick node weights (1 + live containers + in-flight flow
-    /// rows) feeding the container-weighted partition.
-    node_weights: Vec<u64>,
-    /// Reused per-tick contiguous node ranges, one per woken worker.
-    partitions: Vec<Range<usize>>,
-    /// Persistent tick workers (`parallelism - 1` threads), created by
-    /// [`Cluster::set_parallelism`] and joined on drop. `None` while
-    /// serial — and on clones, which respawn lazily on their first
-    /// parallel tick.
-    pool: Option<WorkerPool>,
-    /// Test hook: node whose advance panics (pool panic-propagation
-    /// coverage). Never set outside tests.
-    poison_node: Option<NodeId>,
     // --- Active-set engine (`config.active_set`) ----------------------
     /// Dense membership bitmap: `node_active[i]` ⇔ node `i` is visited by
     /// the next tick. Nodes not in the set are *parked*: provably idle,
@@ -238,8 +192,6 @@ pub struct Cluster {
     /// only while `dt` is constant, so a duration change flushes every
     /// parked node first.
     span_dt: SimDuration,
-    /// Per-tick park verdicts, aligned with `active_list` (scratch).
-    park_flags: Vec<bool>,
     // --- Incrementally-maintained routing/counting state ---------------
     /// Per-service order index over live non-antagonist replicas, keyed
     /// `(in-flight members, container id)` — the exact candidate order
@@ -250,44 +202,6 @@ pub struct Cluster {
     index_members: Vec<u64>,
     /// Cluster-wide in-flight members (requests + cohort members).
     in_flight_total: u64,
-    /// Ticks the parallel engine ran on the calling thread because the
-    /// active weight was below [`SERIAL_FALLBACK_WEIGHT`] per worker.
-    serial_fallback_ticks: u64,
-}
-
-impl Clone for Cluster {
-    fn clone(&self) -> Self {
-        Cluster {
-            config: self.config,
-            nodes: self.nodes.clone(),
-            locs: self.locs.clone(),
-            node_ids: self.node_ids.clone(),
-            container_ids: self.container_ids.clone(),
-            request_ids: self.request_ids.clone(),
-            mem_model: self.mem_model,
-            net_alloc: self.net_alloc,
-            parallelism: self.parallelism,
-            scratch: self.scratch.clone(),
-            replica_counts: self.replica_counts.clone(),
-            node_weights: self.node_weights.clone(),
-            partitions: self.partitions.clone(),
-            // Worker threads are not cloneable; the clone spawns its own
-            // pool on its first parallel `advance`.
-            pool: None,
-            poison_node: self.poison_node,
-            node_active: self.node_active.clone(),
-            active_list: self.active_list.clone(),
-            newly_active: self.newly_active.clone(),
-            park_seq: self.park_seq.clone(),
-            tick_seq: self.tick_seq,
-            span_dt: self.span_dt,
-            park_flags: self.park_flags.clone(),
-            route_index: self.route_index.clone(),
-            index_members: self.index_members.clone(),
-            in_flight_total: self.in_flight_total,
-            serial_fallback_ticks: self.serial_fallback_ticks,
-        }
-    }
 }
 
 impl Cluster {
@@ -302,24 +216,17 @@ impl Cluster {
             node_ids: IdAllocator::default(),
             container_ids: IdAllocator::default(),
             request_ids: IdAllocator::default(),
-            parallelism: 1,
-            scratch: vec![TickScratch::default()],
+            scratch: TickScratch::default(),
             replica_counts: Vec::new(),
-            node_weights: Vec::new(),
-            partitions: Vec::new(),
-            pool: None,
-            poison_node: None,
             node_active: Vec::new(),
             active_list: Vec::new(),
             newly_active: Vec::new(),
             park_seq: Vec::new(),
             tick_seq: 0,
             span_dt: SimDuration::ZERO,
-            park_flags: Vec::new(),
             route_index: Vec::new(),
             index_members: Vec::new(),
             in_flight_total: 0,
-            serial_fallback_ticks: 0,
         }
     }
 
@@ -333,10 +240,9 @@ impl Cluster {
     /// accumulators), the container location table, and
     /// the three id-allocator cursors.
     ///
-    /// Derived per-tick state (scratch buffers, partitions, replica
-    /// counts) and the worker pool are *not* written: the pool respawns
-    /// lazily on the first parallel `advance` after a restore, and the
-    /// scratch is rebuilt every tick.
+    /// Derived per-tick state (scratch buffers, replica counts, routing
+    /// index, active set) is *not* written: restore rebuilds it, and the
+    /// scratch is refilled every tick.
     pub fn snapshot_write(&self, w: &mut SnapWriter) {
         debug_assert!(
             !self.config.active_set
@@ -362,8 +268,7 @@ impl Cluster {
     /// cluster, replacing its nodes, location table, and id cursors.
     ///
     /// Call on a cluster built from the same configuration the snapshot
-    /// was taken under (same overhead model, same parallelism setup);
-    /// the worker pool is reconstructed lazily and need not exist yet.
+    /// was taken under (same overhead model).
     ///
     /// # Errors
     ///
@@ -458,43 +363,20 @@ impl Cluster {
         self.newly_active.clear();
     }
 
-    /// Sets how many OS threads [`Cluster::advance`] may use to tick nodes
-    /// (clamped to at least 1; the default is 1, i.e. serial). Because
-    /// nodes share no mutable state within a tick and worker outputs are
-    /// merged in node order, results are bit-identical at any setting.
+    /// Kept only because the frozen `e2ebench/` benchmark still pins one
+    /// tick worker with `set_parallelism(1)`; removed together with that
+    /// pin. Ticks always run on the calling thread, so `1` is a no-op.
     ///
-    /// Above 1 this spawns a persistent pool of `workers - 1` threads
-    /// that park between ticks (the calling thread ticks the first
-    /// partition itself); reconfiguring joins the old pool before the
-    /// new one spawns, and dropping the cluster joins all workers.
+    /// # Panics
+    ///
+    /// For any `workers` other than 1: tick-level parallelism is gone; run
+    /// independent scenarios in parallel with `hyscale_bench::runner::sweep`.
     pub fn set_parallelism(&mut self, workers: usize) {
-        self.parallelism = workers.max(1);
-        self.scratch
-            .resize_with(self.parallelism, TickScratch::default);
-        let needed = self.parallelism - 1;
-        let keep = matches!(&self.pool, Some(pool) if pool.threads() == needed);
-        if !keep {
-            // Drop first: the old pool's threads are joined before the
-            // replacement spawns, so repeated reconfiguration can never
-            // accumulate threads.
-            self.pool = None;
-            if needed > 0 {
-                self.pool = Some(WorkerPool::new(needed));
-            }
-        }
-    }
-
-    /// Test hook: makes [`Cluster::advance`] panic when it reaches the
-    /// given node, exercising the worker pool's panic propagation. Pass
-    /// `None` to clear. Hidden from docs; never set in production code.
-    #[doc(hidden)]
-    pub fn inject_tick_panic(&mut self, node: Option<NodeId>) {
-        self.poison_node = node;
-    }
-
-    /// The configured tick parallelism.
-    pub fn parallelism(&self) -> usize {
-        self.parallelism
+        assert!(
+            workers == 1,
+            "tick parallelism {workers} is not supported: ticks run serially; \
+             run scenarios in parallel with hyscale_bench::runner::sweep"
+        );
     }
 
     /// Adds a node and returns its identifier.
@@ -528,7 +410,7 @@ impl Cluster {
         let dt_secs = self.span_dt.as_secs();
         debug_assert!(dt_secs > 0.0, "parked span with zero dt");
         let node = &mut self.nodes[idx];
-        let scratch = &mut self.scratch[0];
+        let scratch = &mut self.scratch;
         scratch.live.clear();
         scratch.cpu_demands.clear();
         for (slot, c) in node.slots.iter().enumerate() {
@@ -632,13 +514,6 @@ impl Cluster {
         v.sort_unstable();
         v.dedup();
         v
-    }
-
-    /// Ticks the parallel engine ran on the calling thread because the
-    /// active tick weight was too small to amortize the pool handoff
-    /// (the tracking counter for the cohort-mode parallel regression).
-    pub fn serial_fallback_ticks(&self) -> u64 {
-        self.serial_fallback_ticks
     }
 
     /// Looks up a node. Decommissioned and crashed (offline) machines are
@@ -1249,13 +1124,7 @@ impl Cluster {
     }
 
     /// Advances the fluid model by one tick, writing the completions and
-    /// failures into `report` (cleared first). With
-    /// [`Cluster::set_parallelism`] above 1, nodes are ticked on the
-    /// persistent worker pool: workers are woken with an epoch bump (no
-    /// per-tick thread creation), each owns a contiguous container-
-    /// weighted node range and its own scratch buffers, and outputs are
-    /// merged in partition order — node order — so the report is
-    /// bit-identical to a serial run.
+    /// failures into `report` (cleared first), in node order.
     pub fn advance_into(&mut self, now: SimTime, dt: SimDuration, report: &mut TickReport) {
         report.completed.clear();
         report.failed.clear();
@@ -1316,40 +1185,13 @@ impl Cluster {
     /// node every tick, exactly the pre-active-set behaviour. Kept as the
     /// brute-force twin the differential tests drive.
     fn advance_full(&mut self, now: SimTime, end: SimTime, dt_secs: f64, report: &mut TickReport) {
-        // Serial prepass: lifecycle transitions and the per-node weights
-        // (1 + live containers + in-flight flow rows ≈ tick cost) that
-        // drive the parallel partition. The per-service replica table is
+        // Lifecycle transitions first; the per-service replica table is
         // maintained incrementally on start/remove.
-        self.node_weights.clear();
         for node in &mut self.nodes {
-            let mut weight: u64 = 1;
             for c in &mut node.slots {
                 c.mark_running_if_ready(now);
-                if c.state() == ContainerState::Removed {
-                    continue;
-                }
-                // Tick cost scales with flow rows, whatever their member
-                // counts.
-                weight += 1 + c.flows.len() as u64;
             }
-            self.node_weights.push(weight);
         }
-
-        let workers = self.parallelism.min(self.nodes.len()).max(1);
-        let parallel = if workers > 1 {
-            crate::partition::weighted_partition(&self.node_weights, workers, &mut self.partitions);
-            self.partitions.len() > 1
-        } else {
-            false
-        };
-        if parallel && self.pool.is_none() {
-            // Clones drop their source's pool (threads are not
-            // cloneable); respawn it on the first parallel tick.
-            self.pool = Some(WorkerPool::new(self.parallelism - 1));
-        }
-
-        let nodes = &mut self.nodes;
-        let scratch_pool = &mut self.scratch;
         let ctx = TickCtx {
             config: &self.config,
             mem_model: &self.mem_model,
@@ -1358,59 +1200,9 @@ impl Cluster {
             now,
             end,
             dt_secs,
-            poison: self.poison_node,
         };
-
-        if !parallel {
-            let scratch = &mut scratch_pool[0];
-            scratch.completed.clear();
-            scratch.failed.clear();
-            for node in nodes.iter_mut() {
-                tick_node(node, &ctx, scratch);
-            }
-            report.completed.append(&mut scratch.completed);
-            report.failed.append(&mut scratch.failed);
-            return;
-        }
-
-        // Partition count never exceeds `workers`, and the scratch pool
-        // and thread pool are both sized by `set_parallelism`, so every
-        // partition gets a scratch and jobs 1.. each get a pool thread.
-        let partitions = &self.partitions;
-        debug_assert!(partitions.len() <= scratch_pool.len());
-        let pool = self.pool.as_mut().expect("pool exists while parallel");
-        let ctx = &ctx;
-        let mut rest: &mut [Node] = nodes;
-        let mut scratches = scratch_pool.iter_mut();
-        let mut closures: Vec<_> = Vec::with_capacity(partitions.len());
-        for range in partitions.iter() {
-            let (chunk, tail) = rest.split_at_mut(range.end - range.start);
-            rest = tail;
-            let scratch = scratches.next().expect("scratch per partition");
-            closures.push(move || {
-                // Stale staged output can only exist if a previous tick
-                // panicked mid-merge; clearing here keeps the next tick
-                // clean either way.
-                scratch.completed.clear();
-                scratch.failed.clear();
-                for node in chunk.iter_mut() {
-                    tick_node(node, ctx, scratch);
-                }
-            });
-        }
-        let mut jobs: Vec<hyscale_exec::Job<'_>> = closures
-            .iter_mut()
-            .map(|c| c as &mut (dyn FnMut() + Send))
-            .collect();
-        pool.run(&mut jobs);
-        drop(jobs);
-        drop(closures);
-        // Workers held contiguous node ranges in partition order, so
-        // appending their buffers in partition order reproduces the
-        // serial append order.
-        for scratch in scratch_pool.iter_mut().take(partitions.len()) {
-            report.completed.append(&mut scratch.completed);
-            report.failed.append(&mut scratch.failed);
+        for node in &mut self.nodes {
+            advance_node(node, &ctx, &mut self.scratch, report);
         }
     }
 
@@ -1442,53 +1234,18 @@ impl Cluster {
             self.newly_active.clear();
         }
 
-        // Prepass over the active set only: lifecycle transitions plus
-        // the compact per-active-node weights feeding the partition.
-        self.node_weights.clear();
+        // Lifecycle transitions over the active set only.
         for &i in &self.active_list {
-            let node = &mut self.nodes[i as usize];
-            let mut weight: u64 = 1;
-            for c in &mut node.slots {
+            for c in &mut self.nodes[i as usize].slots {
                 c.mark_running_if_ready(now);
-                if c.state() == ContainerState::Removed {
-                    continue;
-                }
-                weight += 1 + c.flows.len() as u64;
             }
-            self.node_weights.push(weight);
         }
 
-        let active_count = self.active_list.len();
-        let workers = self.parallelism.min(active_count).max(1);
-        let total_weight: u64 = self.node_weights.iter().sum();
-        // Handing jobs to the pool costs microseconds; a tick lighter
-        // than this per worker finishes faster on the calling thread
-        // (this is what fixed the cohort-mode parallel regression).
-        let parallel = if workers > 1 {
-            if total_weight >= SERIAL_FALLBACK_WEIGHT * workers as u64 {
-                crate::partition::weighted_partition(
-                    &self.node_weights,
-                    workers,
-                    &mut self.partitions,
-                );
-                self.partitions.len() > 1
-            } else {
-                self.serial_fallback_ticks += 1;
-                false
-            }
-        } else {
-            false
-        };
-        if parallel && self.pool.is_none() {
-            self.pool = Some(WorkerPool::new(self.parallelism - 1));
-        }
-
-        let nodes = &mut self.nodes;
-        let scratch_pool = &mut self.scratch;
-        let active_list = &self.active_list;
-        let park_flags = &mut self.park_flags;
-        park_flags.clear();
-        park_flags.resize(active_count, false);
+        // Tick each active node in node order, and park the ones this
+        // tick proved idle: every later tick would be the same closed
+        // form, so defer them until something changes.
+        self.tick_seq += 1;
+        let tick_seq = self.tick_seq;
         let ctx = TickCtx {
             config: &self.config,
             mem_model: &self.mem_model,
@@ -1497,76 +1254,13 @@ impl Cluster {
             now,
             end,
             dt_secs,
-            poison: self.poison_node,
         };
-
-        if !parallel {
-            let scratch = &mut scratch_pool[0];
-            scratch.completed.clear();
-            scratch.failed.clear();
-            for (k, &i) in active_list.iter().enumerate() {
-                park_flags[k] = tick_node(&mut nodes[i as usize], &ctx, scratch);
-            }
-            report.completed.append(&mut scratch.completed);
-            report.failed.append(&mut scratch.failed);
-        } else {
-            let partitions = &self.partitions;
-            debug_assert!(partitions.len() <= scratch_pool.len());
-            let pool = self.pool.as_mut().expect("pool exists while parallel");
-            let ctx = &ctx;
-            // Each partition is a contiguous range of `active_list`; the
-            // node indices inside it are sorted, so successive
-            // `split_at_mut` calls carve the node table into disjoint
-            // windows (idle gaps fall between windows) — no worker can
-            // alias another's nodes, and no `unsafe` is needed.
-            let mut rest: &mut [Node] = nodes;
-            let mut offset = 0usize; // index of rest[0] within self.nodes
-            let mut flags_rest: &mut [bool] = park_flags;
-            let mut scratches = scratch_pool.iter_mut();
-            let mut closures: Vec<_> = Vec::with_capacity(partitions.len());
-            for range in partitions.iter() {
-                let ids = &active_list[range.start..range.end];
-                let lo = ids[0] as usize;
-                let hi = *ids.last().expect("partitions are non-empty") as usize;
-                let (_, tail) = rest.split_at_mut(lo - offset);
-                let (chunk, tail) = tail.split_at_mut(hi - lo + 1);
-                rest = tail;
-                offset = hi + 1;
-                let (flags, ftail) = flags_rest.split_at_mut(range.end - range.start);
-                flags_rest = ftail;
-                let scratch = scratches.next().expect("scratch per partition");
-                closures.push(move || {
-                    scratch.completed.clear();
-                    scratch.failed.clear();
-                    for (k, &i) in ids.iter().enumerate() {
-                        flags[k] = tick_node(&mut chunk[i as usize - lo], ctx, scratch);
-                    }
-                });
-            }
-            let mut jobs: Vec<hyscale_exec::Job<'_>> = closures
-                .iter_mut()
-                .map(|c| c as &mut (dyn FnMut() + Send))
-                .collect();
-            pool.run(&mut jobs);
-            drop(jobs);
-            drop(closures);
-            for scratch in scratch_pool.iter_mut().take(partitions.len()) {
-                report.completed.append(&mut scratch.completed);
-                report.failed.append(&mut scratch.failed);
-            }
-        }
-
-        // Park the nodes this tick proved idle: every later tick would be
-        // the same closed form, so defer them until something changes.
-        self.tick_seq += 1;
+        let nodes = &mut self.nodes;
+        let scratch = &mut self.scratch;
         let node_active = &mut self.node_active;
         let park_seq = &mut self.park_seq;
-        let park_flags = &self.park_flags;
-        let tick_seq = self.tick_seq;
-        let mut k = 0usize;
         self.active_list.retain(|&i| {
-            let parked = park_flags[k];
-            k += 1;
+            let parked = advance_node(&mut nodes[i as usize], &ctx, scratch, report);
             if parked {
                 node_active[i as usize] = false;
                 park_seq[i as usize] = tick_seq;
@@ -1697,16 +1391,21 @@ fn idle_grants(capacity: f64, demands: &[CpuDemand], grants: &mut Vec<CpuGrant>)
     true
 }
 
-/// Advances one node by one tick. Free function over `&mut Node` so the
-/// parallel engine can fan nodes out across scoped threads; all shared
-/// inputs are read-only in [`TickCtx`] and all temporaries live in the
-/// worker's [`TickScratch`].
+/// Advances one node by one tick, appending its completions and failures
+/// to `report`. A free function over `&mut Node`: all shared inputs are
+/// read-only in [`TickCtx`] and all temporaries live in [`TickScratch`],
+/// so nodes could be ticked independently.
 ///
 /// Returns `true` when the node may park: this tick took the idle
 /// closed form (or the node had no live slots) *and* no slot is still
 /// inside its startup window, so every subsequent tick repeats the same
 /// arithmetic until an external mutation arrives.
-fn advance_node(node: &mut Node, ctx: &TickCtx<'_>, scratch: &mut TickScratch) -> bool {
+fn advance_node(
+    node: &mut Node,
+    ctx: &TickCtx<'_>,
+    scratch: &mut TickScratch,
+    report: &mut TickReport,
+) -> bool {
     let mut node_spec = *node.spec();
     // Fault injection can degrade the NIC; multiplying by the default 1.0
     // factor is exact in IEEE arithmetic, so healthy nodes are bit-for-bit
@@ -1729,8 +1428,6 @@ fn advance_node(node: &mut Node, ctx: &TickCtx<'_>, scratch: &mut TickScratch) -
         wanting_members,
         outstanding,
         net_scratch,
-        completed,
-        failed,
     } = scratch;
 
     // Live containers on this node, in placement order; also detect the
@@ -2000,7 +1697,7 @@ fn advance_node(node: &mut Node, ctx: &TickCtx<'_>, scratch: &mut TickScratch) -
             if done {
                 completed_this_tick += f.count;
                 let finished = ctx.end + SimDuration::from_secs(fanout);
-                completed.push(CompletedRequest {
+                report.completed.push(CompletedRequest {
                     id: first,
                     count: f.count,
                     service: f.service,
@@ -2011,7 +1708,7 @@ fn advance_node(node: &mut Node, ctx: &TickCtx<'_>, scratch: &mut TickScratch) -
                     response_time: finished.saturating_since(f.arrival),
                 });
             } else {
-                failed.push(FailedRequest {
+                report.failed.push(FailedRequest {
                     id: first,
                     count: f.count,
                     service: f.service,

@@ -236,8 +236,8 @@ pub struct Container {
     /// working-set memory term.
     pub(crate) throughput_ewma: f64,
     /// Usage accumulator the Node Manager snapshots every period. Living
-    /// inside the container keeps the tick loop's state per node, which is
-    /// what lets nodes advance in parallel.
+    /// inside the container keeps the tick loop's state per node, so each
+    /// node advances independently of the others.
     pub(crate) window: UsageWindow,
 }
 

@@ -3,7 +3,7 @@
 //! A [`FaultPlan`] is part of the experiment *definition*: a list of
 //! infrastructure faults pinned to exact simulated times, either written
 //! by hand or drawn from a [`SimRng`] via [`FaultPlan::random`] (same
-//! seed ⇒ same plan ⇒ bit-identical runs at any tick parallelism). The
+//! seed ⇒ same plan ⇒ bit-identical runs). The
 //! [`FaultInjector`] executes the plan against a [`Cluster`] as simulated
 //! time advances, scheduling the matching recoveries (reboots, NIC
 //! restores, stat-report un-muting) itself.
@@ -20,9 +20,9 @@
 //! * **Stat outage** — a NodeManager's `docker stats` reports go stale;
 //!   the Monitor must decide (and detect deaths) without them.
 //!
-//! All fault application happens in the driver's serial event phase,
-//! never inside the parallel per-node tick workers, so the determinism
-//! guarantee of [`Cluster::set_parallelism`] carries over unchanged.
+//! All fault application happens at the top of the driver's tick, before
+//! any node advances, so a fault always strikes the same cluster state
+//! in every run of one config.
 
 use hyscale_sim::{SimDuration, SimRng, SimTime, SnapReader, SnapWriter, SnapshotError};
 use hyscale_trace::{EventKind, FaultTag, TraceSink};

@@ -58,7 +58,6 @@ mod memory;
 mod network;
 mod node;
 mod overhead;
-mod partition;
 mod request;
 mod stats;
 

@@ -79,8 +79,7 @@ pub struct Node {
     containers: Vec<ContainerId>,
     /// Container state lives *inside* the node (removed containers stay as
     /// tombstones so id lookups keep working). Nodes therefore share no
-    /// mutable state, which is what lets the tick engine advance them on
-    /// parallel threads without locks.
+    /// mutable state, so the tick engine advances each one independently.
     pub(crate) slots: Vec<Container>,
     decommissioned: bool,
     /// True while the machine is crashed (fault injection). Unlike

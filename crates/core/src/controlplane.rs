@@ -6,9 +6,9 @@
 //! `docker update`/spawn/remove back over the network. Real deployments
 //! lose, delay, and duplicate those messages, and actuations fail. This
 //! module models that unreliability — **deterministically**: every
-//! perturbation is drawn from one seeded [`SimRng`] stream in the serial
-//! Monitor phase, so a degraded run is byte-identical at any tick-engine
-//! parallelism, exactly like `FaultInjector`.
+//! perturbation is drawn from one seeded [`SimRng`] stream in the
+//! Monitor phase, so a degraded run is byte-identical on every repeat,
+//! exactly like `FaultInjector`.
 //!
 //! Three mechanisms flow through the [`ControlPlane`]:
 //!
@@ -248,7 +248,7 @@ struct PendingActuation {
 }
 
 /// The seeded, stateful control-plane model. Owned by the Monitor; all
-/// RNG draws happen in the serial Monitor phase in a fixed order
+/// RNG draws happen in the Monitor phase in a fixed order
 /// (sorted node ids for reports, idempotency-key order for retries).
 #[derive(Debug, Clone)]
 pub struct ControlPlane {

@@ -16,8 +16,7 @@ use hyscale_cluster::{
     FaultLog, FaultPlan, MemMb, NodeId, NodeSpec, Request, ServiceId, TickReport,
 };
 use hyscale_metrics::{
-    AvailabilityTracker, CostMeter, MetricsRegistry, RequestOutcomes, ServiceAvailability, Summary,
-    TimeSeries,
+    AvailabilityTracker, CostMeter, RequestOutcomes, ServiceAvailability, Summary, TimeSeries,
 };
 use hyscale_sim::{
     fnv1a, EventQueue, SimDuration, SimRng, SimTime, SnapReader, SnapWriter, SnapshotError,
@@ -81,16 +80,18 @@ pub struct ScenarioConfig {
     /// (staleness vetoes, safe mode, circuit breakers). Disabled =
     /// the legacy perfectly-reliable loop.
     pub control_plane: ControlPlaneConfig,
-    /// Worker threads for the per-tick resource model (1 = serial).
-    /// Results are bit-identical at any setting; see
-    /// [`Cluster::set_parallelism`].
+    /// Kept only because the frozen `e2ebench/` benchmark still writes
+    /// `parallelism = 1`; removed together with that pin. Ticks always
+    /// run serially, so the field must be 1 (the default):
+    /// [`ScenarioConfig::validate`] rejects any other value. Run
+    /// independent scenarios in parallel with `hyscale_bench::runner::sweep`.
     pub parallelism: usize,
     /// Carry each tick's arrivals per service as one flow cohort instead
     /// of scheduling per-request arrival events: the tick draws a Poisson
     /// count, materializes one [`ServiceSpec::make_cohort`], and
     /// waterfills it across replicas. A different (fluid) arrival
     /// discipline from the default thinning process — not bit-comparable
-    /// with it — but deterministic and bit-identical across parallelism.
+    /// with it — but deterministic.
     pub cohort_arrivals: bool,
     /// Service dependency DAG over the service list (by index). `None` =
     /// the classic independent-services model. With a graph, client load
@@ -108,9 +109,8 @@ pub struct ScenarioConfig {
     /// per-service retry budgets, and admission-control load shedding.
     /// Requires [`ScenarioConfig::graph`] when enabled; disabled (the
     /// default) leaves every run bit-identical to a build without the
-    /// layer. All stochastic draws come from a dedicated RNG split in
-    /// the serial phase, so results stay bit-identical at any worker
-    /// count.
+    /// layer. All stochastic draws come from a dedicated RNG, so
+    /// enabling it leaves every other draw sequence untouched.
     pub resilience: ResilienceConfig,
     /// Periodic full-state snapshots: write the complete deterministic
     /// simulation state to disk at tick boundaries. `None` = no
@@ -118,9 +118,8 @@ pub struct ScenarioConfig {
     /// enabled is bit-identical to one without.
     pub snapshot: Option<SnapshotPolicy>,
     /// Resume from a snapshot file written by a run of this *exact*
-    /// configuration (checked via a config digest; parallelism and the
-    /// snapshot/resume controls themselves may differ). `None` = start
-    /// from tick zero.
+    /// configuration (checked via a config digest; the snapshot/resume
+    /// controls themselves may differ). `None` = start from tick zero.
     pub resume: Option<PathBuf>,
 }
 
@@ -169,6 +168,13 @@ impl ScenarioConfig {
         }
         if self.services.is_empty() {
             return Err(CoreError::InvalidScenario("no services".into()));
+        }
+        if self.parallelism != 1 {
+            return Err(CoreError::InvalidScenario(format!(
+                "parallelism {} is not supported: ticks run serially; \
+                 run scenarios in parallel with hyscale_bench::runner::sweep",
+                self.parallelism
+            )));
         }
         if self.initial_replicas == 0 {
             return Err(CoreError::InvalidScenario(
@@ -502,9 +508,8 @@ impl SimulationDriver {
 
 /// Digest of every configuration field that shapes the deterministic
 /// simulation, via the fields' `Debug` forms. Excludes `parallelism`
-/// (bit-identical at any worker count) and the snapshot/resume controls
-/// themselves, so a resumed run may snapshot differently or run on more
-/// workers than the run that wrote the file.
+/// (always 1) and the snapshot/resume controls themselves, so a resumed
+/// run may snapshot differently than the run that wrote the file.
 fn config_digest(config: &ScenarioConfig) -> u64 {
     let repr = format!(
         "{}|{}|{:?}|{:?}|{:?}|{:?}|{:?}|{}|{:?}|{:?}|{:?}|{:?}|{:?}|{:?}|{:?}|{:?}|{:?}|{}|{:?}|{:?}",
@@ -555,7 +560,7 @@ struct Run<'a> {
     arrivals: Vec<ArrivalProcess>,
     arrival_rngs: Vec<SimRng>,
     demand_rngs: Vec<SimRng>,
-    /// Retry-backoff jitter, only ever drawn from in the serial phase.
+    /// Retry-backoff jitter, drawn only when a retry is re-queued.
     resilience_rng: SimRng,
     graph: Option<GraphTracker>,
     events: EventQueue<Event>,
@@ -609,7 +614,6 @@ impl<'a> Run<'a> {
 
         // --- Cluster setup -------------------------------------------------
         let mut cluster = Cluster::new(config.cluster);
-        cluster.set_parallelism(config.parallelism);
         let node_ids: Vec<NodeId> = config
             .nodes
             .iter()
@@ -758,16 +762,17 @@ impl<'a> Run<'a> {
         self.graph.as_ref().is_none_or(|t| t.is_entry(idx))
     }
 
-    /// Serializes the complete run state into an (unframed) snapshot
-    /// payload. [`SnapWriter::finish`] frames it; [`SnapWriter::digest`]
-    /// turns it into the end-of-run state digest. [`Run::restore`] reads
-    /// the same fields in the same order.
+    /// Serializes the complete simulation state into an (unframed)
+    /// snapshot payload. [`SnapWriter::digest`] turns it into the
+    /// end-of-run state digest; [`Run::snapshot_if_due`] appends the
+    /// trace cursor and frames it. [`Run::restore`] reads the same fields
+    /// in the same order. Nothing here depends on whether the run is
+    /// traced, so traced and untraced runs reach the same digest.
     fn write_state(&self) -> SnapWriter {
         let mut w = SnapWriter::new();
         w.put_u64(self.cfg_digest);
         w.put_u64(self.engine.now().as_micros());
         w.put_u64(self.engine.ticks_run());
-        w.put_u64(self.trace.total_emitted());
         self.cluster.snapshot_write(&mut w);
         self.monitor.snapshot_write(&mut w);
         self.balancer.snapshot_write(&mut w);
@@ -862,10 +867,6 @@ impl<'a> Run<'a> {
         let now = SimTime::from_micros(r.get_u64()?);
         let ticks_run = r.get_u64()?;
         self.engine.restore_clock(now, ticks_run);
-        let seq = r.get_u64()?;
-        if self.trace.is_enabled() {
-            self.trace.resume_at(seq);
-        }
         self.cluster.snapshot_restore(&mut r)?;
         self.monitor.snapshot_restore(&mut r)?;
         self.balancer.snapshot_restore(&mut r)?;
@@ -950,6 +951,13 @@ impl<'a> Run<'a> {
                 .into());
             }
         }
+        // The journal cursor trails the digested state. An untraced run
+        // writes 0, so a traced resume of its snapshot numbers its
+        // events from 0.
+        let seq = r.get_u64()?;
+        if self.trace.is_enabled() {
+            self.trace.resume_at(seq);
+        }
         r.expect_done()?;
         if let Some(policy) = &self.config.snapshot {
             self.next_snapshot_tick = (ticks_run / policy.every_ticks + 1) * policy.every_ticks;
@@ -959,9 +967,9 @@ impl<'a> Run<'a> {
 
     /// One tick of length `dt` starting at `now`, phase by phase.
     fn tick(&mut self, now: SimTime, dt: SimDuration) {
-        // Fault injection strikes at the start of the tick, in the serial
-        // phase (never inside the parallel node workers), so chaos runs
-        // stay bit-identical at any parallelism setting.
+        // Fault injection strikes at the start of the tick, before any
+        // node advances, so a fault lands at the same state in every run
+        // (and in every resume) of one config.
         if !self.injector.drained() {
             for failure in self
                 .injector
@@ -1134,11 +1142,16 @@ impl<'a> Run<'a> {
             .record_interval(period_secs, allocated, view.total_replicas(), busy_nodes);
 
         // Periodic trace snapshots: per-node allocator headroom, then
-        // this period's routing deltas.
-        if self.trace.is_enabled() {
+        // this period's routing deltas. The deltas restart every period,
+        // traced or not, so the snapshotted state never depends on
+        // tracing.
+        let traced = self.trace.is_enabled();
+        if traced {
             self.cluster.trace_pressure(now, self.trace);
-            for (service, delta) in config.services.iter().zip(&mut self.balancer_deltas) {
-                let (routed, rejected) = std::mem::take(delta);
+        }
+        for (service, delta) in config.services.iter().zip(&mut self.balancer_deltas) {
+            let (routed, rejected) = std::mem::take(delta);
+            if traced {
                 self.trace.emit(
                     now,
                     EventKind::BalancerStats {
@@ -1385,7 +1398,9 @@ impl<'a> Run<'a> {
         // Replay any lazily-parked idle ticks so the serialized
         // windows/EWMAs match a full-scan run.
         self.cluster.flush_pending();
-        let bytes = self.write_state().finish();
+        let mut w = self.write_state();
+        w.put_u64(self.trace.total_emitted());
+        let bytes = w.finish();
         std::fs::create_dir_all(&policy.dir).map_err(SnapshotError::from)?;
         std::fs::write(policy.file_for(tick), bytes).map_err(SnapshotError::from)?;
         self.next_snapshot_tick += policy.every_ticks;
@@ -1461,11 +1476,11 @@ impl<'a> Run<'a> {
         report
     }
 
-    /// The final counter dump through the metrics registry: names
-    /// register once, in a fixed order, so the journal tail is
-    /// deterministic by construction. Graph counters are appended only
-    /// for graph scenarios so a graph-free journal stays byte-identical
-    /// to pre-graph builds.
+    /// The final counter dump: one `Counter` event per distinct name, in
+    /// a fixed order, so the journal tail is deterministic by
+    /// construction. Graph counters are appended only for graph
+    /// scenarios so a graph-free journal stays byte-identical to
+    /// pre-graph builds.
     fn counters(&mut self, control_plane: &ControlPlaneStats) {
         let mut totals: Vec<(&'static str, u64)> = vec![
             ("requests.issued", self.requests.issued),
@@ -1534,13 +1549,8 @@ impl<'a> Run<'a> {
                 totals.push(("wasted.members", rs.wasted_members));
             }
         }
-        let mut registry = MetricsRegistry::new();
-        for (name, value) in totals {
-            let id = registry.counter(name);
-            registry.add(id, value);
-        }
         let horizon = self.engine.horizon();
-        for (name, value) in registry.counters() {
+        for (name, value) in totals {
             self.trace.emit(horizon, EventKind::Counter { name, value });
         }
     }
@@ -1621,44 +1631,6 @@ fn read_series_into(r: &mut SnapReader<'_>, ts: &mut TimeSeries) -> Result<(), S
     Ok(())
 }
 
-/// Parses a `HYSCALE_PARALLELISM` value: a positive integer worker count.
-///
-/// Returns a descriptive error for anything else — empty strings,
-/// non-numeric text, zero, negatives — so the caller can fail loudly
-/// instead of silently running serial with a typo'd setting.
-fn parse_parallelism(raw: &str) -> Result<usize, String> {
-    let trimmed = raw.trim();
-    if trimmed.is_empty() {
-        return Err("value is empty; expected a positive integer".into());
-    }
-    match trimmed.parse::<usize>() {
-        Ok(0) => Err("0 workers is meaningless; use 1 for serial execution".into()),
-        Ok(n) => Ok(n),
-        Err(_) => Err(format!(
-            "{trimmed:?} is not a positive integer (e.g. HYSCALE_PARALLELISM=4)"
-        )),
-    }
-}
-
-/// Reads the worker count from `HYSCALE_PARALLELISM`, defaulting to 1
-/// (serial) when unset.
-///
-/// # Panics
-///
-/// Panics when the variable is set to an invalid value. A typo like
-/// `HYSCALE_PARALLELISM=four` used to fall back to serial silently, which
-/// defeats the CI bit-identity gate (the parallel re-run would quietly
-/// test nothing); failing loudly is the only safe behaviour.
-fn parallelism_from_env() -> usize {
-    match std::env::var("HYSCALE_PARALLELISM") {
-        Ok(raw) => match parse_parallelism(&raw) {
-            Ok(n) => n,
-            Err(why) => panic!("invalid HYSCALE_PARALLELISM={raw:?}: {why}"),
-        },
-        Err(_) => 1,
-    }
-}
-
 /// Fluent construction of [`ScenarioConfig`]s.
 ///
 /// # Example
@@ -1707,10 +1679,7 @@ impl ScenarioBuilder {
                 faults: FaultPlan::new(),
                 recovery: RecoveryConfig::default(),
                 control_plane: ControlPlaneConfig::default(),
-                // Results are bit-identical at any worker count, so CI
-                // re-runs the whole suite with HYSCALE_PARALLELISM=4 to
-                // prove it; explicit .parallelism() still overrides.
-                parallelism: parallelism_from_env(),
+                parallelism: 1,
                 cohort_arrivals: false,
                 graph: None,
                 resilience: ResilienceConfig::disabled(),
@@ -1837,14 +1806,6 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Sets the tick-engine worker-thread count (default 1 = serial).
-    /// Any value produces bit-identical results; higher settings only
-    /// change wall-clock time.
-    pub fn parallelism(mut self, workers: usize) -> Self {
-        self.config.parallelism = workers;
-        self
-    }
-
     /// Switches the workload to flow-cohort arrivals: one Poisson batch
     /// per service per tick instead of individual arrival events. See
     /// [`ScenarioConfig::cohort_arrivals`].
@@ -1936,29 +1897,6 @@ impl ScenarioBuilder {
 mod tests {
     use super::*;
     use hyscale_cluster::MemMb;
-
-    #[test]
-    fn parallelism_accepts_positive_integers() {
-        assert_eq!(parse_parallelism("1"), Ok(1));
-        assert_eq!(parse_parallelism("4"), Ok(4));
-        assert_eq!(parse_parallelism(" 16 "), Ok(16), "whitespace is trimmed");
-    }
-
-    #[test]
-    fn parallelism_rejects_garbage_loudly() {
-        // Each of these used to silently fall back to serial execution.
-        for bad in ["four", "", "  ", "0", "-2", "2.5", "4x"] {
-            let err = parse_parallelism(bad)
-                .expect_err(&format!("{bad:?} should be rejected, not defaulted"));
-            assert!(!err.is_empty(), "error message must explain the rejection");
-        }
-    }
-
-    #[test]
-    fn parallelism_zero_gets_a_specific_message() {
-        let err = parse_parallelism("0").unwrap_err();
-        assert!(err.contains("serial"), "zero should point at 1: {err}");
-    }
 
     fn quick(algorithm: AlgorithmKind, seed: u64) -> RunReport {
         ScenarioBuilder::new("test")
@@ -2121,6 +2059,23 @@ mod tests {
         assert_eq!(merged.seeds, vec![1, 2, 3]);
         let single = SimulationDriver::run(&config).unwrap();
         assert!(merged.requests.issued > single.requests.issued);
+    }
+
+    #[test]
+    fn validation_rejects_tick_parallelism() {
+        let mut config = ScenarioBuilder::new("x")
+            .nodes(1)
+            .services(1, ServiceProfile::CpuBound, LoadPattern::low_burst())
+            .build();
+        assert_eq!(config.parallelism, 1);
+        assert!(config.validate().is_ok());
+        config.parallelism = 2;
+        match config.validate() {
+            Err(CoreError::InvalidScenario(why)) => {
+                assert!(why.contains("runner::sweep"), "{why}");
+            }
+            other => panic!("parallelism 2 must be rejected, got {other:?}"),
+        }
     }
 
     #[test]
@@ -2392,7 +2347,7 @@ mod tests {
         assert!(config.validate().is_ok());
     }
 
-    fn cohort_config(seed: u64, parallelism: usize) -> ScenarioConfig {
+    fn cohort_config(seed: u64) -> ScenarioConfig {
         ScenarioBuilder::new("cohort")
             .nodes(3)
             .services(
@@ -2403,14 +2358,13 @@ mod tests {
             .duration_secs(60.0)
             .algorithm(AlgorithmKind::HyScaleCpu)
             .seed(seed)
-            .parallelism(parallelism)
             .cohort_arrivals(true)
             .build()
     }
 
     #[test]
     fn cohort_mode_completes_requests_and_conserves_them() {
-        let report = SimulationDriver::run(&cohort_config(7, 1)).unwrap();
+        let report = SimulationDriver::run(&cohort_config(7)).unwrap();
         assert!(report.requests.issued > 1000, "{}", report.requests.issued);
         assert!(report.requests.completed > 0);
         // Every issued member is completed, failed, or still in flight at
@@ -2426,7 +2380,7 @@ mod tests {
     }
 
     #[test]
-    fn cohort_mode_is_deterministic_and_parallelism_invariant() {
+    fn cohort_mode_is_deterministic() {
         let digest = |report: &RunReport| {
             (
                 report.requests.issued,
@@ -2436,14 +2390,8 @@ mod tests {
                 report.requests.mean_response_secs().to_bits(),
             )
         };
-        let serial = SimulationDriver::run(&cohort_config(11, 1)).unwrap();
-        let serial_again = SimulationDriver::run(&cohort_config(11, 1)).unwrap();
-        let parallel = SimulationDriver::run(&cohort_config(11, 4)).unwrap();
-        assert_eq!(digest(&serial), digest(&serial_again));
-        assert_eq!(
-            digest(&serial),
-            digest(&parallel),
-            "cohort runs must be bit-identical across worker counts"
-        );
+        let first = SimulationDriver::run(&cohort_config(11)).unwrap();
+        let again = SimulationDriver::run(&cohort_config(11)).unwrap();
+        assert_eq!(digest(&first), digest(&again));
     }
 }

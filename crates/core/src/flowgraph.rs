@@ -20,7 +20,7 @@
 //! finished. With a [`ResilienceConfig`] enabled, a retryable lost hop
 //! instead re-queues as a fresh [`PendingHop`] after an exponential
 //! backoff (seeded jitter drawn from the driver's dedicated resilience
-//! RNG split, in the serial phase), bounded by the per-edge
+//! RNG stream), bounded by the per-edge
 //! [`RetryPolicy`]'s attempt cap, the root's end-to-end deadline, and
 //! the per-service retry-budget token bucket replenished by successful
 //! completions.
@@ -271,8 +271,8 @@ impl GraphTracker {
     /// on, watermark set) and the service already holds at least the
     /// watermark of in-flight members, the root is dropped unissued —
     /// counted as shed, not failed — so queued work can drain. Returns
-    /// whether it was shed. The watermark reads serial-phase cluster
-    /// state, so the decision is identical at any worker count.
+    /// whether it was shed. The watermark reads the cluster's in-flight
+    /// counts between ticks, so the decision is deterministic.
     pub fn shed_if_overloaded(
         &mut self,
         idx: usize,

@@ -5,9 +5,9 @@
 //! The mechanisms live in the graph tracker and the driver; this module
 //! is the knob panel ([`ResilienceConfig`]) and the scoreboard
 //! ([`ResilienceStats`]). Everything here is deterministic: backoff
-//! jitter draws from a dedicated RNG split in the serial phase, budget
-//! tokens are plain arithmetic over completion counts, and shedding
-//! reads cluster state that is identical at any worker count.
+//! jitter draws from a dedicated RNG stream, budget tokens are plain
+//! arithmetic over completion counts, and shedding reads the cluster's
+//! in-flight counts between ticks.
 
 use hyscale_workload::RetryPolicy;
 

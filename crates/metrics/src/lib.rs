@@ -28,7 +28,6 @@
 mod availability;
 mod cost;
 mod failures;
-mod registry;
 mod report;
 mod sla;
 mod summary;
@@ -37,7 +36,6 @@ mod timeseries;
 pub use availability::{AvailabilityTracker, ServiceAvailability};
 pub use cost::CostMeter;
 pub use failures::{FailureTally, RequestOutcomes};
-pub use registry::{CounterId, MetricsRegistry};
 pub use report::{format_speedup, Table};
 pub use sla::{SlaPolicy, SlaReport};
 pub use summary::Summary;

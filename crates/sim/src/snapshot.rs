@@ -39,8 +39,10 @@ pub const SNAPSHOT_MAGIC: [u8; 4] = *b"HYSN";
 /// than one sample per member; 6 = those summaries write their moments,
 /// NaN drop count and sorted flag, then their records in stored order
 /// (which a percentile query may have sorted); 7 = driver payloads drop
-/// the skipped-idle-tick tally.
-pub const SNAPSHOT_VERSION: u32 = 7;
+/// the skipped-idle-tick tally; 8 = driver payloads move the trace
+/// cursor from after the clock to the very end, outside the state the
+/// end-of-run digest covers.
+pub const SNAPSHOT_VERSION: u32 = 8;
 
 /// FNV-1a 64-bit hash of a byte slice.
 ///

@@ -280,10 +280,10 @@ pub enum EventKind {
         /// Members with no live replica or refused by a full queue.
         rejected: u64,
     },
-    /// A final counter value from the metrics registry (emitted once per
-    /// counter at the end of the run).
+    /// A final run counter value (emitted once per counter at the end of
+    /// the run).
     Counter {
-        /// Registry name of the counter.
+        /// Name of the counter.
         name: &'static str,
         /// Final value.
         value: u64,

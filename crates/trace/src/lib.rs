@@ -11,12 +11,13 @@
 //!
 //! # Determinism contract
 //!
-//! Events are only ever emitted from the driver's *serial* phases (event
-//! delivery, Monitor periods, fault injection) — never from the parallel
-//! per-node tick workers — and carry nothing that depends on the worker
-//! count. A seeded scenario therefore produces a **byte-identical** JSONL
-//! journal at any `parallelism` setting, which the test battery and the
-//! `trace` bench binary enforce.
+//! Events are only ever emitted from the driver's phases (event delivery,
+//! Monitor periods, fault injection) — never from inside the per-node
+//! tick — and carry nothing that depends on wall-clock time. A seeded
+//! scenario therefore produces a **byte-identical** JSONL journal on
+//! every repeat, which the test battery and the `trace` bench binary
+//! enforce. Tracing never feeds back into the simulated state, so traced
+//! and untraced runs of one config reach the same state digest.
 //!
 //! # Cost contract
 //!

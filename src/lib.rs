@@ -8,7 +8,6 @@
 //! This crate re-exports the workspace crates under stable module names:
 //!
 //! * [`sim`] — deterministic discrete-time simulation substrate.
-//! * [`exec`] — persistent worker pool driving the parallel tick engine.
 //! * [`cluster`] — Docker-like cluster resource model (CPU shares, memory
 //!   limits + swap, tc-style network shaping).
 //! * [`workload`] — microservice profiles, bursty load generators, and the
@@ -38,9 +37,10 @@
 //! # }
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use hyscale_cluster as cluster;
 pub use hyscale_core as core;
-pub use hyscale_exec as exec;
 pub use hyscale_metrics as metrics;
 pub use hyscale_sim as sim;
 pub use hyscale_trace as trace;

@@ -1,10 +1,10 @@
 //! Differential and property tests for the active-set tick engine:
 //! a cluster ticked with the lazy active-set engine must be
 //! *bit-identical* to the full-scan reference engine under arbitrary
-//! admit/remove/fault/recovery churn, at every worker count — same
-//! per-tick reports, same snapshot bytes — and the active set itself
-//! must satisfy the park invariant (no node that needs per-tick
-//! simulation is ever parked, and every parked node is provably idle).
+//! admit/remove/fault/recovery churn — same per-tick reports, same
+//! snapshot bytes — and the active set itself must satisfy the park
+//! invariant (no node that needs per-tick simulation is ever parked, and
+//! every parked node is provably idle).
 
 use hyscale::cluster::{
     Cluster, ClusterConfig, Cohort, ContainerId, ContainerSpec, Cores, MemMb, NodeId, NodeSpec,
@@ -18,7 +18,7 @@ const NODES: usize = 8;
 const SERVICES: u32 = 3;
 
 /// Twin clusters that only differ in the `active_set` engine flag.
-fn twins(workers: usize) -> (Cluster, Cluster) {
+fn twins() -> (Cluster, Cluster) {
     let enabled_cfg = ClusterConfig::default();
     assert!(enabled_cfg.active_set, "active set should default on");
     let disabled_cfg = ClusterConfig {
@@ -27,8 +27,6 @@ fn twins(workers: usize) -> (Cluster, Cluster) {
     };
     let mut enabled = Cluster::new(enabled_cfg);
     let mut disabled = Cluster::new(disabled_cfg);
-    enabled.set_parallelism(workers);
-    disabled.set_parallelism(workers);
     for _ in 0..NODES {
         enabled.add_node(NodeSpec::uniform_worker());
         disabled.add_node(NodeSpec::uniform_worker());
@@ -170,9 +168,9 @@ fn snapshot_bytes(cluster: &Cluster) -> Vec<u8> {
     w.finish()
 }
 
-fn run_twin(seed: u64, workers: usize) {
+fn run_twin(seed: u64) {
     let mut rng = SimRng::seed_from(seed);
-    let (mut enabled, mut disabled) = twins(workers);
+    let (mut enabled, mut disabled) = twins();
     let mut containers = Vec::new();
     let mut now = SimTime::ZERO;
     let mut dt = SimDuration::from_millis(100);
@@ -187,10 +185,7 @@ fn run_twin(seed: u64, workers: usize) {
 
         let ra = enabled.advance(now, dt);
         let rb = disabled.advance(now, dt);
-        assert_eq!(
-            ra, rb,
-            "tick {tick} diverged (seed {seed:#x}, workers {workers})"
-        );
+        assert_eq!(ra, rb, "tick {tick} diverged (seed {seed:#x})");
         assert_eq!(enabled.total_in_flight(), disabled.total_in_flight());
         now += dt;
 
@@ -200,7 +195,7 @@ fn run_twin(seed: u64, workers: usize) {
             assert_eq!(
                 snapshot_bytes(&enabled),
                 snapshot_bytes(&disabled),
-                "tick {tick}: snapshot bytes diverged (seed {seed:#x}, workers {workers})"
+                "tick {tick}: snapshot bytes diverged (seed {seed:#x})"
             );
         }
     }
@@ -213,9 +208,7 @@ fn run_twin(seed: u64, workers: usize) {
 #[test]
 fn active_set_engine_is_bit_identical_under_churn() {
     for &seed in &[0xAC71u64, 0xBEEF, 0x5EED] {
-        for &workers in &[1usize, 2, 4] {
-            run_twin(seed, workers);
-        }
+        run_twin(seed);
     }
 }
 
@@ -235,7 +228,6 @@ fn driver_reports_identical_with_and_without_active_set() {
             .algorithm(kind)
             .duration_secs(90.0)
             .seed(11)
-            .parallelism(2)
             .cluster_config(ClusterConfig {
                 active_set,
                 ..ClusterConfig::default()

@@ -418,11 +418,11 @@ fn no_scale_in_from_views_older_than_the_staleness_budget() {
 }
 
 /// Property: one seeded degraded run serializes to a byte-identical
-/// trace journal serial vs node-parallel — every control-plane draw
-/// (loss, delay, duplication, actuation failure, breaker jitter) happens
-/// in the serial phase.
+/// trace journal on every repeat — every control-plane draw (loss,
+/// delay, duplication, actuation failure, breaker jitter) comes from a
+/// seeded stream.
 #[test]
-fn degraded_replay_is_byte_identical_serial_vs_parallel() {
+fn degraded_replay_is_byte_identical_across_repeats() {
     let mut rng = SimRng::seed_from(0xB17_1DE7);
     let plan = FaultPlan::random(
         &FaultPlanConfig {
@@ -433,7 +433,7 @@ fn degraded_replay_is_byte_identical_serial_vs_parallel() {
         },
         &mut rng,
     );
-    let build = |parallelism: usize| {
+    let build = || {
         ScenarioBuilder::new("degraded-replay")
             .nodes(4)
             .services(
@@ -444,13 +444,12 @@ fn degraded_replay_is_byte_identical_serial_vs_parallel() {
             .duration_secs(90.0)
             .algorithm(AlgorithmKind::HyScaleCpu)
             .seed(13)
-            .parallelism(parallelism)
             .faults(plan.clone())
             .control_plane(hot_control_plane())
             .build()
     };
-    let journal = |parallelism: usize| {
-        let config = build(parallelism);
+    let journal = || {
+        let config = build();
         let mut sink = TraceSink::with_capacity(16_384);
         SimulationDriver::run_traced(&config, &mut sink).expect("scenario runs");
         let meta = RunMeta {
@@ -460,13 +459,9 @@ fn degraded_replay_is_byte_identical_serial_vs_parallel() {
         };
         export::jsonl(&sink, &meta)
     };
-    let serial = journal(1);
-    assert!(serial.contains("\"ev\":\"report_link\""));
-    assert_eq!(
-        serial,
-        journal(4),
-        "degraded replay diverged under parallelism"
-    );
+    let first = journal();
+    assert!(first.contains("\"ev\":\"report_link\""));
+    assert_eq!(first, journal(), "degraded replay diverged across repeats");
 }
 
 /// Acceptance: losing quorum drops the cluster into safe mode — scaling
@@ -522,4 +517,25 @@ fn safe_mode_freezes_scaling_but_recovery_still_respawns() {
     );
     assert!(journal.contains("\"ev\":\"safe_mode\""));
     assert!(journal.contains("\"entered\":true"));
+}
+
+/// Runs the published chaos benchmark scenario (CPU-bound high burst
+/// plus the seeded fault storm) at smoke scale.
+fn bench_chaos_run(seed: u64) -> RunReport {
+    let scale = hyscale_bench::scenarios::Scale::bench();
+    let mut config = hyscale_bench::scenarios::chaos(&scale, AlgorithmKind::HyScaleCpu);
+    config.seed = seed;
+    SimulationDriver::run(&config).expect("chaos scenario runs")
+}
+
+#[test]
+fn chaos_runs_are_reproducible_across_repeats() {
+    let first = bench_chaos_run(101);
+    assert!(first.faults.total_applied() > 0, "faults actually fired");
+    let again = bench_chaos_run(101);
+    assert_eq!(format!("{first:?}"), format!("{again:?}"));
+    // A different workload seed faces the same fault plan but different
+    // traffic: the report must differ (the seed actually matters).
+    let other = bench_chaos_run(505);
+    assert_ne!(format!("{first:?}"), format!("{other:?}"));
 }

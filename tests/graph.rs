@@ -1,9 +1,9 @@
 //! Battery for service dependency graphs: a three-tier scenario must
 //! report per-entry-point end-to-end percentiles, journal per-hop spans
 //! from which one logical request can be stitched back together by root
-//! id, stay bit-identical at any worker count and across
-//! snapshot/resume, and — when the graph carries no edges — reproduce
-//! the classic independent-services run byte-for-byte.
+//! id, stay bit-identical across repeats and across snapshot/resume,
+//! and — when the graph carries no edges — reproduce the classic
+//! independent-services run byte-for-byte.
 
 use std::fs;
 use std::path::PathBuf;
@@ -26,7 +26,7 @@ fn three_tier() -> ServiceGraph {
         .with_edge(2, 3, 1)
 }
 
-fn graph_config(seed: u64, parallelism: usize, cohort: bool) -> ScenarioConfig {
+fn graph_config(seed: u64, cohort: bool) -> ScenarioConfig {
     let load = if cohort {
         // Idle spans between bursts: roots still open from one burst
         // must resolve across the silence before the next.
@@ -49,7 +49,6 @@ fn graph_config(seed: u64, parallelism: usize, cohort: bool) -> ScenarioConfig {
     .duration_secs(120.0)
     .algorithm(AlgorithmKind::HyScaleCpu)
     .seed(seed)
-    .parallelism(parallelism)
     .cohort_arrivals(cohort)
     .graph(three_tier())
     .build()
@@ -71,7 +70,7 @@ fn journal(config: &ScenarioConfig, capacity: usize) -> (String, RunReport) {
 
 #[test]
 fn three_tier_reports_per_entry_point_percentiles() {
-    let report = SimulationDriver::run(&graph_config(7, 1, false)).expect("scenario runs");
+    let report = SimulationDriver::run(&graph_config(7, false)).expect("scenario runs");
     // Only the frontend is an entry point; tiers 1-3 see derived traffic.
     assert_eq!(report.entry_points.len(), 1);
     let entry = &report.entry_points[0];
@@ -105,7 +104,7 @@ fn three_tier_reports_per_entry_point_percentiles() {
 
 #[test]
 fn one_request_stitches_from_spans_by_root_id() {
-    let (journal, _) = journal(&graph_config(7, 1, false), 1 << 17);
+    let (journal, _) = journal(&graph_config(7, false), 1 << 17);
     // Pick the first journaled root and collect every span bearing it.
     let first_span = journal
         .lines()
@@ -159,19 +158,19 @@ fn one_request_stitches_from_spans_by_root_id() {
 }
 
 #[test]
-fn graph_journal_is_byte_identical_serial_vs_parallel() {
-    let (serial, a) = journal(&graph_config(9, 1, false), 1 << 17);
-    let (parallel, b) = journal(&graph_config(9, 4, false), 1 << 17);
-    assert!(serial.contains("\"ev\":\"span\""));
-    assert_eq!(serial, parallel, "worker count leaked into the journal");
+fn graph_journal_is_byte_identical_across_repeats() {
+    let (first, a) = journal(&graph_config(9, false), 1 << 17);
+    let (again, b) = journal(&graph_config(9, false), 1 << 17);
+    assert!(first.contains("\"ev\":\"span\""));
+    assert_eq!(first, again, "graph journal diverged on repeat");
     assert_eq!(format!("{a:?}"), format!("{b:?}"));
 }
 
 #[test]
 fn cohort_graph_runs_are_deterministic_and_resolve_all_roots() {
-    let (serial, a) = journal(&graph_config(11, 1, true), 1 << 17);
-    let (parallel, b) = journal(&graph_config(11, 4, true), 1 << 17);
-    assert_eq!(serial, parallel);
+    let (first, a) = journal(&graph_config(11, true), 1 << 17);
+    let (again, b) = journal(&graph_config(11, true), 1 << 17);
+    assert_eq!(first, again);
     assert_eq!(format!("{a:?}"), format!("{b:?}"));
     let entry = &a.entry_points[0];
     assert!(entry.roots_started > 0);
@@ -191,7 +190,7 @@ fn graph_run_resumes_bit_identically_from_a_snapshot() {
     fs::create_dir_all(&dir).expect("scratch dir");
 
     // Uninterrupted, snapshotting along the way.
-    let mut config = graph_config(13, 2, false);
+    let mut config = graph_config(13, false);
     config.snapshot = Some(SnapshotPolicy {
         every_ticks: 400,
         dir: dir.clone(),
@@ -203,7 +202,7 @@ fn graph_run_resumes_bit_identically_from_a_snapshot() {
     // all, then resumed from the file it wrote.
     let dir_cut = dir.join("cut");
     fs::create_dir_all(&dir_cut).expect("scratch dir");
-    let mut config = graph_config(13, 2, false);
+    let mut config = graph_config(13, false);
     config.snapshot = Some(SnapshotPolicy {
         every_ticks: 400,
         dir: dir_cut.clone(),
@@ -216,7 +215,7 @@ fn graph_run_resumes_bit_identically_from_a_snapshot() {
         .filter(|p| p.extension().is_some_and(|x| x == "snap"))
         .collect();
     snaps.sort();
-    let mut config = graph_config(13, 4, false);
+    let mut config = graph_config(13, false);
     config.snapshot = Some(SnapshotPolicy {
         every_ticks: 400,
         dir: dir_cut,
@@ -241,7 +240,7 @@ fn graph_run_resumes_bit_identically_from_a_snapshot() {
 /// so deadline comparisons land on tick boundaries), a 20% retry
 /// budget, and an admission watermark all engage. Every engine knob is
 /// explicit so tests can toggle them independently.
-fn resilient_graph_config(parallelism: usize, cohort: bool, active_set: bool) -> ScenarioConfig {
+fn resilient_graph_config(cohort: bool, active_set: bool) -> ScenarioConfig {
     let load = if cohort {
         LoadPattern::Burst {
             base: 0.0,
@@ -258,7 +257,6 @@ fn resilient_graph_config(parallelism: usize, cohort: bool, active_set: bool) ->
         .duration_secs(120.0)
         .algorithm(AlgorithmKind::HyScaleCpu)
         .seed(17)
-        .parallelism(parallelism)
         .tick_millis(100)
         .cohort_arrivals(cohort)
         .cluster_config(ClusterConfig {
@@ -298,7 +296,7 @@ fn resilience_free_journal_carries_no_resilience_counters() {
     // A graph run with the layer off: graph counters appear, but no
     // retry/shed/goodput names and no resilience events — the journal
     // stays byte-identical to builds without the layer.
-    let (plain, report) = journal(&graph_config(9, 1, false), 1 << 17);
+    let (plain, report) = journal(&graph_config(9, false), 1 << 17);
     assert!(plain.contains("graph.roots_completed"));
     assert_eq!(report.resilience, Default::default());
     for needle in [
@@ -318,7 +316,7 @@ fn resilience_free_journal_carries_no_resilience_counters() {
     }
     // A disabled layer must ignore its other knobs entirely: junk
     // budgets and watermarks produce a byte-identical journal.
-    let mut junk = graph_config(9, 1, false);
+    let mut junk = graph_config(9, false);
     junk.resilience.budget_pct = 50.0;
     junk.resilience.budget_floor = 8.0;
     junk.resilience.root_budget_secs = 1.0;
@@ -330,7 +328,7 @@ fn resilience_free_journal_carries_no_resilience_counters() {
     );
     // Positive control: an enabled layer does journal those counters
     // (proving the needles above test the real names).
-    let (rich, report) = journal(&resilient_graph_config(1, false, true), 1 << 17);
+    let (rich, report) = journal(&resilient_graph_config(false, true), 1 << 17);
     assert!(report.resilience.retries > 0, "{:?}", report.resilience);
     for needle in [
         "retry.attempts",
@@ -345,34 +343,21 @@ fn resilience_free_journal_carries_no_resilience_counters() {
 #[test]
 fn deadline_ticks_are_identical_across_every_engine() {
     // The 2 s root deadline is exactly 20 ticks, so deadline and
-    // backoff comparisons land on tick boundaries — where a serial,
-    // parallel, or active-set engine disagreeing by one tick would show
-    // up immediately.
-    let base =
-        SimulationDriver::run(&resilient_graph_config(1, false, true)).expect("scenario runs");
-    assert!(base.resilience.retries > 0, "{:?}", base.resilience);
-    for (label, config) in [
-        ("parallel(4)", resilient_graph_config(4, false, true)),
-        ("active-set off", resilient_graph_config(2, false, false)),
-    ] {
-        let report = SimulationDriver::run(&config).expect("scenario runs");
+    // backoff comparisons land on tick boundaries — where the active-set
+    // and full-scan engines disagreeing by one tick would show up
+    // immediately, in request and in cohort mode.
+    for cohort in [false, true] {
+        let base =
+            SimulationDriver::run(&resilient_graph_config(cohort, true)).expect("scenario runs");
+        assert!(base.resilience.retries > 0, "{:?}", base.resilience);
+        let full_scan =
+            SimulationDriver::run(&resilient_graph_config(cohort, false)).expect("scenario runs");
         assert_eq!(
             format!("{base:?}"),
-            format!("{report:?}"),
-            "{label} diverged from the serial baseline"
+            format!("{full_scan:?}"),
+            "active-set off diverged (cohort mode: {cohort})"
         );
     }
-    // Cohort mode: still bit-identical at any worker count.
-    let cohort =
-        SimulationDriver::run(&resilient_graph_config(1, true, true)).expect("scenario runs");
-    assert!(cohort.resilience.retries > 0, "{:?}", cohort.resilience);
-    let cohort_par =
-        SimulationDriver::run(&resilient_graph_config(4, true, true)).expect("scenario runs");
-    assert_eq!(
-        format!("{cohort:?}"),
-        format!("{cohort_par:?}"),
-        "cohort run diverged between worker counts"
-    );
 }
 
 #[test]

@@ -50,7 +50,7 @@ fn first_snapshot(config: &ScenarioConfig) -> PathBuf {
 /// A compact chaos scenario: faults, recovery, breaker trips, and a hot
 /// degraded control plane all fire inside 60 simulated seconds, so the
 /// snapshot at tick 250 lands mid-churn with live fault and retry state.
-fn battery_config(kind: AlgorithmKind, cohort: bool, parallelism: usize) -> ScenarioConfig {
+fn battery_config(kind: AlgorithmKind, cohort: bool) -> ScenarioConfig {
     let load = if cohort {
         // Zero base load leaves genuinely idle spans between bursts, so
         // some snapshots and resumes land in the silence.
@@ -78,7 +78,6 @@ fn battery_config(kind: AlgorithmKind, cohort: bool, parallelism: usize) -> Scen
     .duration_secs(60.0)
     .algorithm(kind)
     .seed(4242)
-    .parallelism(parallelism)
     .cohort_arrivals(cohort)
     .faults(
         FaultPlan::new()
@@ -135,20 +134,15 @@ fn event_lines(journal: &str) -> &str {
 /// The differential core: run uninterrupted, run again halting at the
 /// first snapshot, resume from the file it wrote, and demand the two
 /// histories are indistinguishable.
-fn assert_resume_equivalence(
-    kind: AlgorithmKind,
-    cohort: bool,
-    cut_workers: usize,
-    resume_workers: usize,
-) {
+fn assert_resume_equivalence(kind: AlgorithmKind, cohort: bool) {
     let mode = if cohort { "co" } else { "ev" };
-    let tag = format!("{}-{mode}-w{cut_workers}x{resume_workers}", kind.label());
+    let tag = format!("{}-{mode}", kind.label());
     let dir_full = scratch_dir(&format!("{tag}-full"));
     let dir_cut = scratch_dir(&format!("{tag}-cut"));
 
     // Uninterrupted run, snapshotting along the way (snapshotting itself
     // must not perturb the simulation).
-    let mut config = battery_config(kind, cohort, cut_workers);
+    let mut config = battery_config(kind, cohort);
     config.snapshot = Some(SnapshotPolicy {
         every_ticks: 250,
         dir: dir_full.clone(),
@@ -157,7 +151,7 @@ fn assert_resume_equivalence(
     let (journal_full, report_full) = journal(&config, 16_384);
 
     // The same run, killed right after the first snapshot is written...
-    let mut config = battery_config(kind, cohort, cut_workers);
+    let mut config = battery_config(kind, cohort);
     config.snapshot = Some(SnapshotPolicy {
         every_ticks: 250,
         dir: dir_cut.clone(),
@@ -170,9 +164,8 @@ fn assert_resume_equivalence(
     );
     let snap = first_snapshot(&config);
 
-    // ...then resumed from the file it left behind, possibly at a
-    // different worker count.
-    let mut config = battery_config(kind, cohort, resume_workers);
+    // ...then resumed from the file it left behind.
+    let mut config = battery_config(kind, cohort);
     config.snapshot = Some(SnapshotPolicy {
         every_ticks: 250,
         dir: dir_cut.clone(),
@@ -213,50 +206,44 @@ fn assert_resume_equivalence(
     let _ = fs::remove_dir_all(&dir_cut);
 }
 
-fn battery(kind: AlgorithmKind, cohort: bool) {
-    for workers in [1usize, 2, 4] {
-        assert_resume_equivalence(kind, cohort, workers, workers);
-    }
-}
-
 #[test]
 fn resume_equivalence_kubernetes_event_mode() {
-    battery(AlgorithmKind::Kubernetes, false);
+    assert_resume_equivalence(AlgorithmKind::Kubernetes, false);
 }
 
 #[test]
 fn resume_equivalence_network_event_mode() {
-    battery(AlgorithmKind::Network, false);
+    assert_resume_equivalence(AlgorithmKind::Network, false);
 }
 
 #[test]
 fn resume_equivalence_hyscale_cpu_event_mode() {
-    battery(AlgorithmKind::HyScaleCpu, false);
+    assert_resume_equivalence(AlgorithmKind::HyScaleCpu, false);
 }
 
 #[test]
 fn resume_equivalence_hyscale_cpu_mem_event_mode() {
-    battery(AlgorithmKind::HyScaleCpuMem, false);
+    assert_resume_equivalence(AlgorithmKind::HyScaleCpuMem, false);
 }
 
 #[test]
 fn resume_equivalence_kubernetes_cohort() {
-    battery(AlgorithmKind::Kubernetes, true);
+    assert_resume_equivalence(AlgorithmKind::Kubernetes, true);
 }
 
 #[test]
 fn resume_equivalence_network_cohort() {
-    battery(AlgorithmKind::Network, true);
+    assert_resume_equivalence(AlgorithmKind::Network, true);
 }
 
 #[test]
 fn resume_equivalence_hyscale_cpu_cohort() {
-    battery(AlgorithmKind::HyScaleCpu, true);
+    assert_resume_equivalence(AlgorithmKind::HyScaleCpu, true);
 }
 
 #[test]
 fn resume_equivalence_hyscale_cpu_mem_cohort() {
-    battery(AlgorithmKind::HyScaleCpuMem, true);
+    assert_resume_equivalence(AlgorithmKind::HyScaleCpuMem, true);
 }
 
 /// The resilience-enabled cell of the battery: a three-tier graph with
@@ -265,7 +252,7 @@ fn resume_equivalence_hyscale_cpu_mem_cohort() {
 /// snapshot lands at tick 130 (13 s) — one second into the crash, with
 /// retries sitting in backoff, budget tokens spent, and deadlines
 /// pending — all of which must round-trip bit-exactly.
-fn resilience_battery_config(parallelism: usize) -> ScenarioConfig {
+fn resilience_battery_config() -> ScenarioConfig {
     let mut config = ScenarioBuilder::new("snap-battery-resilience")
         .nodes(3)
         .services(
@@ -276,7 +263,6 @@ fn resilience_battery_config(parallelism: usize) -> ScenarioConfig {
         .duration_secs(60.0)
         .algorithm(AlgorithmKind::HyScaleCpu)
         .seed(4242)
-        .parallelism(parallelism)
         .graph(ServiceGraph::new(3).with_edge(0, 1, 2).with_edge(1, 2, 1))
         .faults(
             FaultPlan::new()
@@ -307,7 +293,7 @@ fn resume_equivalence_with_live_resilience_state() {
     let dir_full = scratch_dir("resilience-full");
     let dir_cut = scratch_dir("resilience-cut");
 
-    let mut config = resilience_battery_config(2);
+    let mut config = resilience_battery_config();
     config.snapshot = Some(SnapshotPolicy {
         every_ticks: 130,
         dir: dir_full.clone(),
@@ -320,7 +306,7 @@ fn resume_equivalence_with_live_resilience_state() {
         report_full.resilience
     );
 
-    let mut config = resilience_battery_config(2);
+    let mut config = resilience_battery_config();
     config.snapshot = Some(SnapshotPolicy {
         every_ticks: 130,
         dir: dir_cut.clone(),
@@ -329,8 +315,8 @@ fn resume_equivalence_with_live_resilience_state() {
     let (journal_cut, _) = journal(&config, 16_384);
     let snap = first_snapshot(&config);
 
-    // Resume at a different worker count, mid-backoff.
-    let mut config = resilience_battery_config(4);
+    // Resume mid-backoff.
+    let mut config = resilience_battery_config();
     config.snapshot = Some(SnapshotPolicy {
         every_ticks: 130,
         dir: dir_cut.clone(),
@@ -358,17 +344,94 @@ fn resume_equivalence_with_live_resilience_state() {
     let _ = fs::remove_dir_all(&dir_cut);
 }
 
+/// Strips the `"seq":N,` prefix from each journal event line.
+fn without_seq(lines: &str) -> Vec<&str> {
+    lines
+        .lines()
+        .map(|l| l.split_once(',').map_or(l, |(_, rest)| rest))
+        .collect()
+}
+
+/// A traced resume of an *untraced* run's snapshot: the report must equal
+/// the uninterrupted run's, and the resumed journal must carry the same
+/// events as the uninterrupted journal after its snapshot — in
+/// particular, its first `BalancerStats` covers one scaling period, not
+/// all routing since tick zero. Only the journal sequence numbers
+/// differ: an untraced snapshot's cursor is 0.
+#[test]
+fn traced_resume_of_an_untraced_snapshot_matches_the_full_run() {
+    let dir = scratch_dir("untraced-cut");
+    let mut config = resilience_battery_config();
+    config.duration = SimDuration::from_secs(20.0);
+    config.scale_period = SimDuration::from_secs(1.0);
+    // 5.5 s: mid-period, with five periods of routing behind it.
+    config.snapshot = Some(SnapshotPolicy {
+        every_ticks: 55,
+        dir: dir.join("full"),
+        halt_after_first: false,
+    });
+    let (journal_full, report_full) = journal(&config, 16_384);
+
+    config.snapshot = Some(SnapshotPolicy {
+        every_ticks: 55,
+        dir: dir.join("cut"),
+        halt_after_first: true,
+    });
+    SimulationDriver::run(&config).expect("untraced halted run");
+    config.resume = Some(first_snapshot(&config));
+    config.snapshot = Some(SnapshotPolicy {
+        every_ticks: 55,
+        dir: dir.join("cut"),
+        halt_after_first: false,
+    });
+    let (journal_resumed, report_resumed) = journal(&config, 16_384);
+
+    let full = without_seq(event_lines(&journal_full));
+    let resumed = without_seq(event_lines(&journal_resumed));
+    let first_snapshot_event = full
+        .iter()
+        .position(|l| l.contains("\"ev\":\"snapshot\""))
+        .expect("the full run journals its snapshot");
+    let after_cut = &full[first_snapshot_event + 1..];
+    let balancer = |lines: &[&str]| -> Vec<String> {
+        lines
+            .iter()
+            .filter(|l| l.contains("\"ev\":\"balancer\""))
+            .map(|l| l.to_string())
+            .collect()
+    };
+    // One `BalancerStats` per service per period.
+    let period = config.services.len();
+    let (expected, found) = (balancer(after_cut), balancer(&resumed));
+    assert!(
+        expected.len() >= period,
+        "the resumed span has scaling periods"
+    );
+    assert_eq!(
+        found[..period],
+        expected[..period],
+        "the first BalancerStats after the resume must cover one period"
+    );
+    assert_eq!(after_cut, &resumed[..], "resumed events diverge");
+    assert_eq!(
+        format!("{report_full:?}"),
+        format!("{report_resumed:?}"),
+        "traced resume of an untraced snapshot diverges from the full run"
+    );
+    let _ = fs::remove_dir_all(&dir);
+}
+
 /// Cuts two short, eventful runs at every tick boundary, so some cut
 /// lands on each kind of tick: one where a scaling period fires, one
 /// with hops queued or retries in backoff, one where a fault strikes.
 /// The resilience cell scales every second and takes a node crash at 3 s
 /// and an OOM-kill at 8 s; the cohort cell is the cohort-mode battery
 /// cut short. For each cadence `k` the reference run snapshots every `k`
-/// ticks too: each `Snapshot` event advances the journal sequence that
-/// the state digest covers.
+/// ticks too, and an untraced twin of it must reach the same state
+/// digest: tracing never reaches the digested state.
 #[test]
 fn halt_and_resume_at_every_tick() {
-    let mut resilience = resilience_battery_config(1);
+    let mut resilience = resilience_battery_config();
     resilience.duration = SimDuration::from_secs(20.0);
     resilience.scale_period = SimDuration::from_secs(1.0);
     resilience.faults = FaultPlan::new()
@@ -380,7 +443,7 @@ fn halt_and_resume_at_every_tick() {
             },
         )
         .with(8.0, FaultKind::OomKill { service: 1 });
-    let mut cohort = battery_config(AlgorithmKind::HyScaleCpuMem, true, 1);
+    let mut cohort = battery_config(AlgorithmKind::HyScaleCpuMem, true);
     cohort.duration = SimDuration::from_secs(20.0);
 
     for (tag, base) in [
@@ -399,6 +462,12 @@ fn halt_and_resume_at_every_tick() {
             let mut config = base.clone();
             config.snapshot = Some(policy("full", false));
             let (journal_full, report_full) = journal(&config, 16_384);
+            config.snapshot = Some(policy("untraced", false));
+            let untraced = SimulationDriver::run(&config).expect("untraced run");
+            assert_eq!(
+                untraced.state_digest, report_full.state_digest,
+                "{tag}: untraced and traced digests differ at cadence {k}"
+            );
             config.snapshot = Some(policy("cut", true));
             let (journal_cut, _) = journal(&config, 16_384);
             config.resume = Some(first_snapshot(&config));
@@ -426,20 +495,11 @@ fn halt_and_resume_at_every_tick() {
 }
 
 #[test]
-fn resume_across_different_worker_counts() {
-    // A snapshot taken under a serial run must resume bit-identically
-    // under a parallel one (and vice versa): worker count is excluded
-    // from the scenario digest by design.
-    assert_resume_equivalence(AlgorithmKind::HyScaleCpu, false, 1, 4);
-    assert_resume_equivalence(AlgorithmKind::HyScaleCpuMem, false, 4, 1);
-}
-
-#[test]
 fn snapshotting_does_not_perturb_the_run() {
     let dir = scratch_dir("no-perturb");
-    let plain = SimulationDriver::run(&battery_config(AlgorithmKind::HyScaleCpu, false, 2))
+    let plain = SimulationDriver::run(&battery_config(AlgorithmKind::HyScaleCpu, false))
         .expect("plain run");
-    let mut config = battery_config(AlgorithmKind::HyScaleCpu, false, 2);
+    let mut config = battery_config(AlgorithmKind::HyScaleCpu, false);
     config.snapshot = Some(SnapshotPolicy {
         every_ticks: 250,
         dir: dir.clone(),

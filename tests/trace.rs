@@ -1,8 +1,7 @@
 //! Determinism battery for the decision-trace journal: a seeded scenario
-//! must serialize to a **byte-identical** JSONL journal at any
-//! parallelism setting and across repeated runs, tracing must not perturb
-//! the simulation itself, and the ring buffer must degrade gracefully
-//! when a run outgrows it.
+//! must serialize to a **byte-identical** JSONL journal across repeated
+//! runs, tracing must not perturb the simulation itself, and the ring
+//! buffer must degrade gracefully when a run outgrows it.
 
 use hyscale::cluster::{FaultKind, FaultPlan};
 use hyscale::core::{
@@ -13,7 +12,7 @@ use hyscale::workload::{LoadPattern, ServiceProfile};
 
 /// A small chaos scenario: every trace-emitting subsystem fires within
 /// 120 simulated seconds (scaling, faults, recovery, balancer rejects).
-fn chaos_config(seed: u64, parallelism: usize) -> ScenarioConfig {
+fn chaos_config(seed: u64) -> ScenarioConfig {
     ScenarioBuilder::new("trace-chaos")
         .nodes(4)
         .services(
@@ -24,7 +23,6 @@ fn chaos_config(seed: u64, parallelism: usize) -> ScenarioConfig {
         .duration_secs(120.0)
         .algorithm(AlgorithmKind::HyScaleCpu)
         .seed(seed)
-        .parallelism(parallelism)
         .faults(
             FaultPlan::new()
                 .with(
@@ -57,8 +55,8 @@ fn chaos_config(seed: u64, parallelism: usize) -> ScenarioConfig {
 /// The chaos scenario run through a hot degraded control plane: loss,
 /// delay, duplication, and actuation failure all cranked high enough
 /// that every control-plane event kind fires within the run.
-fn degraded_config(seed: u64, parallelism: usize) -> ScenarioConfig {
-    let mut config = chaos_config(seed, parallelism);
+fn degraded_config(seed: u64) -> ScenarioConfig {
+    let mut config = chaos_config(seed);
     config.name = "trace-chaos-degraded".to_string();
     let mut cp = ControlPlaneConfig::degraded();
     cp.loss_prob = 0.2;
@@ -83,31 +81,24 @@ fn journal(config: &ScenarioConfig, capacity: usize) -> (String, RunReport) {
 }
 
 #[test]
-fn chaos_journal_is_byte_identical_serial_vs_parallel() {
-    let (serial, _) = journal(&chaos_config(9, 1), 16_384);
-    let (parallel, _) = journal(&chaos_config(9, 4), 16_384);
-    assert!(serial.lines().count() > 50, "journal has substance");
-    assert_eq!(serial, parallel, "worker count leaked into the journal");
-}
-
-#[test]
 fn journal_is_byte_identical_across_repeated_runs() {
-    let (first, _) = journal(&chaos_config(11, 2), 16_384);
-    let (again, _) = journal(&chaos_config(11, 2), 16_384);
+    let (first, _) = journal(&chaos_config(11), 16_384);
+    let (again, _) = journal(&chaos_config(11), 16_384);
+    assert!(first.lines().count() > 50, "journal has substance");
     assert_eq!(first, again);
 }
 
 #[test]
 fn different_seeds_produce_different_journals() {
-    let (a, _) = journal(&chaos_config(1, 1), 16_384);
-    let (b, _) = journal(&chaos_config(2, 1), 16_384);
+    let (a, _) = journal(&chaos_config(1), 16_384);
+    let (b, _) = journal(&chaos_config(2), 16_384);
     assert_ne!(a, b, "the seed must actually matter");
 }
 
 #[test]
 fn csv_export_is_deterministic_too() {
     let run = |seed| {
-        let config = chaos_config(seed, 1);
+        let config = chaos_config(seed);
         let mut sink = TraceSink::with_capacity(16_384);
         SimulationDriver::run_traced(&config, &mut sink).expect("scenario runs");
         export::csv(&sink)
@@ -118,7 +109,7 @@ fn csv_export_is_deterministic_too() {
 
 #[test]
 fn chaos_journal_covers_the_whole_event_taxonomy() {
-    let (journal, report) = journal(&chaos_config(9, 1), 16_384);
+    let (journal, report) = journal(&chaos_config(9), 16_384);
     for needle in [
         "\"ev\":\"run_start\"",
         "\"ev\":\"evaluation\"",
@@ -142,26 +133,9 @@ fn chaos_journal_covers_the_whole_event_taxonomy() {
     assert!(journal.contains(&issued), "counter dump disagrees");
 }
 
-/// Acceptance gate: the degraded control plane draws all its chaos in
-/// the serial Monitor phase, so the journal — drops, late deliveries,
-/// retries, breaker transitions and all — must be byte-identical at any
-/// worker count.
-#[test]
-fn degraded_journal_is_byte_identical_across_worker_counts() {
-    let (one, _) = journal(&degraded_config(9, 1), 16_384);
-    let (two, _) = journal(&degraded_config(9, 2), 16_384);
-    let (four, _) = journal(&degraded_config(9, 4), 16_384);
-    assert!(
-        one.contains("\"ev\":\"report_link\""),
-        "the degradation layer must actually fire"
-    );
-    assert_eq!(one, two, "worker count 2 leaked into the degraded journal");
-    assert_eq!(one, four, "worker count 4 leaked into the degraded journal");
-}
-
 #[test]
 fn degraded_journal_covers_the_control_plane_taxonomy() {
-    let (journal, report) = journal(&degraded_config(9, 1), 16_384);
+    let (journal, report) = journal(&degraded_config(9), 16_384);
     for needle in [
         "\"ev\":\"report_link\"",
         "\"link\":\"lost\"",
@@ -212,7 +186,7 @@ fn recovery_respawns_show_up_in_the_journal() {
 
 #[test]
 fn tracing_does_not_perturb_the_simulation() {
-    let config = chaos_config(9, 1);
+    let config = chaos_config(9);
     let untraced = SimulationDriver::run(&config).expect("scenario runs");
     let (_, traced) = journal(&config, 16_384);
     // Debug prints shortest-roundtrip floats, so string equality is bit
@@ -223,7 +197,7 @@ fn tracing_does_not_perturb_the_simulation() {
 #[test]
 fn disabled_sink_stays_empty() {
     let mut sink = TraceSink::disabled();
-    SimulationDriver::run_traced(&chaos_config(9, 1), &mut sink).expect("scenario runs");
+    SimulationDriver::run_traced(&chaos_config(9), &mut sink).expect("scenario runs");
     assert!(sink.is_empty());
     assert_eq!(sink.total_emitted(), 0);
 }
@@ -231,7 +205,7 @@ fn disabled_sink_stays_empty() {
 #[test]
 fn ring_wraparound_keeps_newest_events_and_stays_deterministic() {
     let tiny = |seed| {
-        let config = chaos_config(seed, 1);
+        let config = chaos_config(seed);
         let mut sink = TraceSink::with_capacity(64);
         SimulationDriver::run_traced(&config, &mut sink).expect("scenario runs");
         assert!(sink.dropped() > 0, "the run must outgrow 64 slots");
