@@ -19,7 +19,7 @@ use hyscale_metrics::{
     AvailabilityTracker, CostMeter, RequestOutcomes, ServiceAvailability, Summary, TimeSeries,
 };
 use hyscale_sim::{
-    fnv1a, EventQueue, SimDuration, SimRng, SimTime, SnapReader, SnapWriter, SnapshotError,
+    hash64, EventQueue, SimDuration, SimRng, SimTime, SnapReader, SnapWriter, SnapshotError,
     TickEngine,
 };
 use hyscale_trace::{EventKind, TraceSink};
@@ -333,7 +333,7 @@ pub struct RunReport {
     /// shed load, and the goodput-vs-wasted-work split (all zero unless
     /// [`ScenarioConfig::resilience`] was enabled).
     pub resilience: ResilienceStats,
-    /// FNV-1a digest of the full serialized end-of-run state. `Some`
+    /// [`hash64`] digest of the full serialized end-of-run state. `Some`
     /// only for single-seed runs that finished the horizon with
     /// snapshotting or resume enabled; two runs with equal digests ended
     /// in bit-identical simulation states.
@@ -534,7 +534,7 @@ fn config_digest(config: &ScenarioConfig) -> u64 {
         config.graph,
         config.resilience,
     );
-    fnv1a(repr.as_bytes())
+    hash64(repr.as_bytes())
 }
 
 /// One scenario run in flight: the configuration, the journal, and every

@@ -25,10 +25,15 @@
 //! the per-service retry-budget token bucket replenished by successful
 //! completions.
 //!
-//! All containers are `BTreeMap`s / in-order `Vec`s so snapshot
-//! serialization is deterministic and resume is bit-exact.
+//! Live roots and hops sit in `HashMap`s keyed by id, hashed by the
+//! fixed [`IdHasher`] (never a randomly seeded one). Nothing reads the
+//! maps in iteration order except [`GraphTracker::snapshot_write`], which
+//! sorts their entries by id first, so snapshot serialization stays
+//! deterministic and resume is bit-exact. Queued hops are an in-order
+//! `Vec`.
 
-use std::collections::BTreeMap;
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use hyscale_cluster::{Cluster, Cohort, CompletedRequest, FailedRequest, FailureKind, ServiceId};
 use hyscale_metrics::Summary;
@@ -185,21 +190,50 @@ struct HopRecord {
     disk_megabits: f64,
 }
 
+/// Multiply-rotate hasher for the tracker's `u64` root and hop ids.
+///
+/// The ids are sequential (roots) or spaced by batch size (hop id bases),
+/// so the multiply spreads them into the high bits and the final rotate
+/// brings those well-mixed bits down to where the table picks its bucket.
+/// Fixed rather than randomly seeded: the simulator assigns these ids
+/// itself, so SipHash's flood resistance would buy nothing.
+#[derive(Debug, Default, Clone, Copy)]
+struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0 ^ n).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
+    }
+}
+
+type IdMap<V> = HashMap<u64, V, BuildHasherDefault<IdHasher>>;
+
 /// Driver-side runtime state for a graph scenario.
 #[derive(Debug, Clone)]
 pub(crate) struct GraphTracker {
     graph: ServiceGraph,
-    /// ServiceId index → position in the scenario's service list.
-    id_to_idx: BTreeMap<u32, usize>,
     /// Service-list position → numeric ServiceId (for trace events).
     service_ids: Vec<u32>,
     /// Service-list position → slot in `entry_stats` (None for
     /// non-entry services).
     entry_slot: Vec<Option<usize>>,
     next_root: u64,
-    roots: BTreeMap<u64, RootRecord>,
-    hops: BTreeMap<u64, HopRecord>,
+    roots: IdMap<RootRecord>,
+    hops: IdMap<HopRecord>,
     pending: Vec<PendingHop>,
+    /// The buffer [`GraphTracker::take_due`] hands out, recycled through
+    /// [`GraphTracker::return_pending_scratch`]; empty between ticks.
+    due: Vec<PendingHop>,
     entry_stats: Vec<EntryPointStats>,
     /// Resilience knobs (disabled = the legacy all-or-nothing model).
     resilience: ResilienceConfig,
@@ -221,11 +255,6 @@ impl GraphTracker {
         services: &[ServiceSpec],
         resilience: ResilienceConfig,
     ) -> Self {
-        let id_to_idx = services
-            .iter()
-            .enumerate()
-            .map(|(idx, s)| (s.id.index(), idx))
-            .collect();
         let service_ids = services.iter().map(|s| s.id.index()).collect();
         let mut entry_slot = vec![None; services.len()];
         let mut entry_stats = Vec::new();
@@ -245,13 +274,13 @@ impl GraphTracker {
         };
         GraphTracker {
             graph,
-            id_to_idx,
             service_ids,
             entry_slot,
             next_root: 0,
-            roots: BTreeMap::new(),
-            hops: BTreeMap::new(),
+            roots: IdMap::default(),
+            hops: IdMap::default(),
             pending: Vec::new(),
+            due: Vec::new(),
             entry_stats,
             resilience,
             policies,
@@ -504,7 +533,7 @@ impl GraphTracker {
         if done.finished > record.last_finish {
             record.last_finish = done.finished;
         }
-        let parent_idx = self.id_to_idx[&done.service.index()];
+        let parent_idx = hop.service;
         if self.resilience.enabled {
             record.work_members += done.count;
             if self.resilience.has_retry_budget() {
@@ -670,22 +699,26 @@ impl GraphTracker {
     /// it enabled, hops whose arrival — a retry's backoff expiry — lies
     /// beyond `now` stay queued for a later tick, in order.
     pub fn take_due(&mut self, now: SimTime) -> Vec<PendingHop> {
+        let mut due = std::mem::take(&mut self.due);
         if !self.resilience.enabled {
-            return std::mem::take(&mut self.pending);
+            std::mem::swap(&mut due, &mut self.pending);
+            return due;
         }
-        let (due, later): (Vec<PendingHop>, Vec<PendingHop>) = std::mem::take(&mut self.pending)
-            .into_iter()
-            .partition(|h| h.arrival <= now);
-        self.pending = later;
+        self.pending.retain(|h| {
+            let is_due = h.arrival <= now;
+            if is_due {
+                due.push(*h);
+            }
+            !is_due
+        });
         due
     }
 
-    /// Returns the drained scratch vector for reuse next tick.
+    /// Returns the buffer [`GraphTracker::take_due`] handed out, for reuse
+    /// next tick.
     pub fn return_pending_scratch(&mut self, mut scratch: Vec<PendingHop>) {
-        if self.pending.is_empty() {
-            scratch.clear();
-            self.pending = scratch;
-        }
+        scratch.clear();
+        self.due = scratch;
     }
 
     /// Whether any child hops await admission.
@@ -734,8 +767,10 @@ impl GraphTracker {
     /// serialize only their table index.
     pub fn snapshot_write(&self, w: &mut SnapWriter) {
         w.put_u64(self.next_root);
-        w.put_usize(self.roots.len());
-        for (&id, r) in &self.roots {
+        let mut roots: Vec<_> = self.roots.iter().collect();
+        roots.sort_unstable_by_key(|&(&id, _)| id);
+        w.put_usize(roots.len());
+        for (&id, r) in roots {
             w.put_u64(id);
             w.put_usize(r.entry);
             w.put_u64(r.arrival.as_micros());
@@ -746,8 +781,10 @@ impl GraphTracker {
             w.put_u64(r.deadline.as_micros());
             w.put_u64(r.work_members);
         }
-        w.put_usize(self.hops.len());
-        for (&id_base, h) in &self.hops {
+        let mut hops: Vec<_> = self.hops.iter().collect();
+        hops.sort_unstable_by_key(|&(&id_base, _)| id_base);
+        w.put_usize(hops.len());
+        for (&id_base, h) in hops {
             w.put_u64(id_base);
             w.put_u64(h.root);
             w.put_u32(h.depth);
@@ -1440,5 +1477,114 @@ mod tests {
         let due = restored.take_due(SimTime::from_secs(10.0));
         assert_eq!(due.len(), 1);
         assert_eq!(due[0].attempt, 1);
+    }
+
+    /// Reads the root ids and hop id bases, in written order, from a
+    /// payload of [`GraphTracker::snapshot_write`].
+    fn snapshot_ids(frame: &[u8]) -> (Vec<u64>, Vec<u64>) {
+        let mut r = SnapReader::open(frame).unwrap();
+        r.get_u64().unwrap();
+        let roots = (0..r.get_usize().unwrap())
+            .map(|_| {
+                let id = r.get_u64().unwrap();
+                r.get_usize().unwrap();
+                r.get_u64().unwrap();
+                r.get_u64().unwrap();
+                r.get_u32().unwrap();
+                r.get_u8().unwrap();
+                for _ in 0..3 {
+                    r.get_u64().unwrap();
+                }
+                id
+            })
+            .collect();
+        let hops = (0..r.get_usize().unwrap())
+            .map(|_| {
+                let id_base = r.get_u64().unwrap();
+                r.get_u64().unwrap();
+                r.get_u32().unwrap();
+                r.get_usize().unwrap();
+                r.get_u32().unwrap();
+                r.get_u32().unwrap();
+                for _ in 0..4 {
+                    r.get_f64().unwrap();
+                }
+                id_base
+            })
+            .collect();
+        (roots, hops)
+    }
+
+    #[test]
+    fn snapshot_lists_roots_and_hops_in_ascending_id_order() {
+        let specs = services(1);
+        let mut t = tracker(ServiceGraph::new(1), &specs);
+        let mut sink = TraceSink::disabled();
+        let mut rng = SimRng::seed_from(3);
+        // Root k's hop gets id base 10_000 - 10k: hop ids descend while
+        // root ids ascend.
+        let roots: Vec<u64> = (0..40)
+            .map(|k| {
+                let root = t.begin_root(0, SimTime::ZERO, 1);
+                t.register_hop(root, 10_000 - 10 * k, &entry_hop(root, 0));
+                t.seal_root(root);
+                root
+            })
+            .collect();
+        // Resolve every third root, newest first, alternating success and
+        // failure.
+        for (n, &root) in roots.iter().rev().filter(|&&r| r % 3 == 0).enumerate() {
+            let id = 10_000 - 10 * root;
+            if n % 2 == 0 {
+                t.on_completed(&completed(id, 0, 1, 1.0), &specs, &mut sink);
+            } else {
+                t.on_failed(
+                    &failed(id, 0, 1, 1.0, FailureKind::Removal),
+                    &mut rng,
+                    &mut sink,
+                );
+            }
+        }
+
+        let mut w = SnapWriter::new();
+        t.snapshot_write(&mut w);
+        let first = w.finish();
+        let (root_ids, hop_ids) = snapshot_ids(&first);
+        let open: Vec<u64> = roots.iter().copied().filter(|r| r % 3 != 0).collect();
+        assert_eq!(root_ids, open, "roots in ascending id order");
+        let mut expected_hops: Vec<u64> = open.iter().map(|r| 10_000 - 10 * r).collect();
+        expected_hops.sort_unstable();
+        assert_eq!(hop_ids, expected_hops, "hops in ascending id order");
+
+        let mut restored = tracker(ServiceGraph::new(1), &specs);
+        let mut r = SnapReader::open(&first).unwrap();
+        restored.snapshot_restore(&mut r).unwrap();
+        r.expect_done().unwrap();
+        let mut w2 = SnapWriter::new();
+        restored.snapshot_write(&mut w2);
+        assert_eq!(first, w2.finish(), "restore must be bit-exact");
+    }
+
+    #[test]
+    fn take_due_recycles_its_buffer_and_keeps_later_hops_in_order() {
+        let specs = services(1);
+        let resilience =
+            ResilienceConfig::with_policy(RetryPolicy::standard().with_backoff(1.0, 8.0, 0.0));
+        let mut t = GraphTracker::new(ServiceGraph::new(1), &specs, resilience);
+        for (root, secs) in [(0, 3.0), (1, 1.0), (2, 4.0), (3, 2.0)] {
+            t.pending.push(PendingHop {
+                arrival: SimTime::from_secs(secs),
+                ..entry_hop(root, 0)
+            });
+        }
+        let due = t.take_due(SimTime::from_secs(2.0));
+        assert_eq!(due.iter().map(|h| h.root).collect::<Vec<_>>(), [1, 3]);
+        assert_eq!(t.pending.iter().map(|h| h.root).collect::<Vec<_>>(), [0, 2]);
+        let buffer = due.as_ptr();
+        t.return_pending_scratch(due);
+        let due = t.take_due(SimTime::from_secs(5.0));
+        assert_eq!(due.as_ptr(), buffer, "the returned buffer is reused");
+        assert_eq!(due.iter().map(|h| h.root).collect::<Vec<_>>(), [0, 2]);
+        assert!(!t.has_pending());
     }
 }

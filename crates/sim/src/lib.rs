@@ -43,6 +43,6 @@ pub use error::SimError;
 pub use events::EventQueue;
 pub use rng::SimRng;
 pub use snapshot::{
-    fnv1a, SnapReader, SnapWriter, SnapshotError, SNAPSHOT_MAGIC, SNAPSHOT_VERSION,
+    hash64, SnapReader, SnapWriter, SnapshotError, SNAPSHOT_MAGIC, SNAPSHOT_VERSION,
 };
 pub use time::{SimDuration, SimTime};

@@ -4,7 +4,7 @@
 //!
 //! ```text
 //! magic `HYSN` (4 bytes) | format version (u32 LE) | payload length (u64 LE)
-//! | payload bytes | FNV-1a 64 checksum of the payload (u64 LE)
+//! | payload bytes | hash64 checksum of the payload (u64 LE)
 //! ```
 //!
 //! The payload itself is written field-by-field through [`SnapWriter`] and
@@ -41,20 +41,43 @@ pub const SNAPSHOT_MAGIC: [u8; 4] = *b"HYSN";
 /// (which a percentile query may have sorted); 7 = driver payloads drop
 /// the skipped-idle-tick tally; 8 = driver payloads move the trace
 /// cursor from after the clock to the very end, outside the state the
-/// end-of-run digest covers.
-pub const SNAPSHOT_VERSION: u32 = 8;
+/// end-of-run digest covers; 9 = the frame checksum (and every digest)
+/// is [`hash64`] instead of the byte-serial FNV-1a.
+pub const SNAPSHOT_VERSION: u32 = 9;
 
-/// FNV-1a 64-bit hash of a byte slice.
+/// Bytes of frame header before the payload: magic, version, length.
+const HEADER_LEN: usize = 16;
+
+/// Word-at-a-time 64-bit hash of a byte slice: not cryptographic, and not
+/// FNV-1a (which snapshot versions 1–8 used).
 ///
 /// Used both as the frame checksum and as the state-digest primitive
-/// throughout the snapshot subsystem.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+/// throughout the snapshot subsystem. The state starts from the length,
+/// absorbs each 8-byte little-endian word (then the zero-padded tail) by
+/// xor, odd multiply and rotate, and ends with a 64-bit avalanche. Each
+/// step is a bijection of both the state and the word, so any change
+/// confined to one word (or the tail) always changes the hash.
+pub fn hash64(bytes: &[u8]) -> u64 {
+    const K: u64 = 0x9e37_79b9_7f4a_7c15;
+    fn absorb(h: u64, word: u64) -> u64 {
+        (h ^ word).wrapping_mul(K).rotate_left(29)
     }
-    hash
+    let mut h = (bytes.len() as u64).wrapping_mul(K) ^ 0x2d35_8dcc_aa6c_78a5;
+    let mut words = bytes.chunks_exact(8);
+    for word in &mut words {
+        h = absorb(h, u64::from_le_bytes(word.try_into().expect("8 bytes")));
+    }
+    let tail = words.remainder();
+    if !tail.is_empty() {
+        let mut last = [0u8; 8];
+        last[..tail.len()].copy_from_slice(tail);
+        h = absorb(h, u64::from_le_bytes(last));
+    }
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+    h ^ (h >> 33)
 }
 
 /// Errors raised while encoding, framing, or decoding a snapshot.
@@ -120,17 +143,32 @@ impl From<std::io::Error> for SnapshotError {
 
 /// Field-by-field payload encoder.
 ///
-/// Accumulates raw payload bytes; [`SnapWriter::finish`] wraps them in the
-/// versioned frame (magic, version, length, checksum).
-#[derive(Debug, Default)]
+/// Accumulates raw payload bytes after room for the frame header;
+/// [`SnapWriter::finish`] fills in the header and appends the checksum, in
+/// place, to make the versioned frame (magic, version, length, checksum).
+#[derive(Debug)]
 pub struct SnapWriter {
+    /// The header's [`HEADER_LEN`] bytes (zero until `finish`), then the
+    /// payload.
     buf: Vec<u8>,
+}
+
+impl Default for SnapWriter {
+    fn default() -> Self {
+        SnapWriter {
+            buf: vec![0; HEADER_LEN],
+        }
+    }
 }
 
 impl SnapWriter {
     /// Creates an empty writer.
     pub fn new() -> Self {
         SnapWriter::default()
+    }
+
+    fn payload(&self) -> &[u8] {
+        &self.buf[HEADER_LEN..]
     }
 
     /// Appends a single byte.
@@ -188,28 +226,29 @@ impl SnapWriter {
 
     /// Current payload length in bytes.
     pub fn len(&self) -> usize {
-        self.buf.len()
+        self.payload().len()
     }
 
     /// True when nothing has been written yet.
     pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
+        self.payload().is_empty()
     }
 
-    /// FNV-1a digest of the payload written so far.
+    /// [`hash64`] digest of the payload written so far.
     pub fn digest(&self) -> u64 {
-        fnv1a(&self.buf)
+        hash64(self.payload())
     }
 
     /// Consumes the writer and returns the complete framed snapshot:
     /// magic, version, payload length, payload, payload checksum.
     pub fn finish(self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.buf.len() + 24);
-        out.extend_from_slice(&SNAPSHOT_MAGIC);
-        out.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
-        out.extend_from_slice(&(self.buf.len() as u64).to_le_bytes());
-        out.extend_from_slice(&self.buf);
-        out.extend_from_slice(&fnv1a(&self.buf).to_le_bytes());
+        let checksum = self.digest();
+        let len = self.len() as u64;
+        let mut out = self.buf;
+        out[..4].copy_from_slice(&SNAPSHOT_MAGIC);
+        out[4..8].copy_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
+        out[8..HEADER_LEN].copy_from_slice(&len.to_le_bytes());
+        out.extend_from_slice(&checksum.to_le_bytes());
         out
     }
 }
@@ -245,7 +284,7 @@ impl<'a> SnapReader<'a> {
         if bytes[..4] != SNAPSHOT_MAGIC {
             return Err(SnapshotError::BadMagic);
         }
-        if bytes.len() < 16 {
+        if bytes.len() < HEADER_LEN {
             return Err(SnapshotError::Truncated);
         }
         let found = u32::from_le_bytes(bytes[4..8].try_into().expect("4 bytes"));
@@ -255,7 +294,7 @@ impl<'a> SnapReader<'a> {
                 found,
             });
         }
-        let len = u64::from_le_bytes(bytes[8..16].try_into().expect("8 bytes"));
+        let len = u64::from_le_bytes(bytes[8..HEADER_LEN].try_into().expect("8 bytes"));
         let len = usize::try_from(len).map_err(|_| SnapshotError::Truncated)?;
         let Some(total) = len.checked_add(24) else {
             return Err(SnapshotError::Truncated);
@@ -269,9 +308,10 @@ impl<'a> SnapReader<'a> {
                 bytes.len() - total
             )));
         }
-        let payload = &bytes[16..16 + len];
-        let checksum = u64::from_le_bytes(bytes[16 + len..total].try_into().expect("8 bytes"));
-        if fnv1a(payload) != checksum {
+        let payload = &bytes[HEADER_LEN..HEADER_LEN + len];
+        let checksum =
+            u64::from_le_bytes(bytes[HEADER_LEN + len..total].try_into().expect("8 bytes"));
+        if hash64(payload) != checksum {
             return Err(SnapshotError::ChecksumMismatch);
         }
         Ok(SnapReader { payload, pos: 0 })
@@ -520,10 +560,57 @@ mod tests {
     }
 
     #[test]
-    fn fnv1a_known_vectors() {
-        // Standard FNV-1a 64 test vectors.
-        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
+    fn hash64_known_vectors() {
+        // Pinned outputs: any change here changes every checksum and
+        // digest, so it needs a SNAPSHOT_VERSION bump.
+        assert_eq!(hash64(b""), 0x3360_5fe8_2fa6_0161);
+        assert_eq!(hash64(b"a"), 0xfe49_eeb7_9275_5bc1);
+        assert_eq!(hash64(b"\0"), 0xdc03_ee92_cd37_dd1e);
+        assert_eq!(hash64(b"12345678"), 0x2b41_61a8_89af_64a2);
+        assert_eq!(hash64(b"hello, world"), 0xb5bf_95dd_0faa_4e6a);
+    }
+
+    #[test]
+    fn every_byte_flip_changes_the_checksum() {
+        // 67 bytes: eight whole words, then a 3-byte tail.
+        let payload: Vec<u8> = (0..67u8).map(|i| i.wrapping_mul(37)).collect();
+        let mut w = SnapWriter::new();
+        for &b in &payload {
+            w.put_u8(b);
+        }
+        let frame = w.finish();
+        assert_eq!(frame.len(), HEADER_LEN + 67 + 8);
+        let clean = hash64(&payload);
+        for i in 0..payload.len() {
+            for flip in [0x01, 0x80, 0xff] {
+                let mut bytes = payload.clone();
+                bytes[i] ^= flip;
+                assert_ne!(hash64(&bytes), clean, "byte {i} ^ {flip:#04x}");
+                let mut framed = frame.clone();
+                framed[HEADER_LEN + i] ^= flip;
+                assert_eq!(
+                    SnapReader::open(&framed).unwrap_err(),
+                    SnapshotError::ChecksumMismatch,
+                    "byte {i} ^ {flip:#04x}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn finish_frames_the_payload_in_place() {
+        let mut w = SnapWriter::new();
+        assert!(w.is_empty());
+        w.put_str("payload");
+        assert_eq!(w.len(), 15);
+        let digest = w.digest();
+        let frame = w.finish();
+        assert_eq!(frame[..4], SNAPSHOT_MAGIC);
+        assert_eq!(frame[4..8], SNAPSHOT_VERSION.to_le_bytes());
+        assert_eq!(frame[8..HEADER_LEN], 15u64.to_le_bytes());
+        assert_eq!(frame[HEADER_LEN + 8..HEADER_LEN + 15], *b"payload");
+        assert_eq!(frame[HEADER_LEN + 15..], digest.to_le_bytes());
+        assert_eq!(digest, hash64(&frame[HEADER_LEN..HEADER_LEN + 15]));
     }
 
     #[test]
